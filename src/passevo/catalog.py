@@ -96,6 +96,18 @@ class PassSequence:
         return iter(self.passes)
 
 
+def _trusted_sequence(passes: tuple[str, ...], label: str) -> PassSequence:
+    """Build a PassSequence from tokens that were all validated already.
+
+    For inner loops only: it skips __post_init__, so every token must come
+    from a validated sequence, catalog or Patch.
+    """
+    seq = object.__new__(PassSequence)
+    object.__setattr__(seq, "passes", passes)
+    object.__setattr__(seq, "label", label)
+    return seq
+
+
 def _tokens(text: str):
     """Yield (line_number, token) for each non-comment, non-blank line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):

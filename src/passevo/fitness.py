@@ -26,6 +26,7 @@ import subprocess
 import tempfile
 import threading
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,19 +117,39 @@ class EvaluationCache:
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
-            for line in self._path.read_text("utf-8").splitlines():
-                if not line.strip():
-                    continue
+            self._load(self._path)
+
+    def _load(self, path: Path) -> None:
+        """Read persisted records; drop a torn last line, reject any other bad line.
+
+        A run killed mid-append leaves a partial last line. It is cut from
+        the file, so later appends start on a fresh line, and the run
+        resumes with every complete record.
+        """
+        lines = path.read_bytes().split(b"\n")
+        offset = 0
+        for index, line in enumerate(lines):
+            start, offset = offset, offset + len(line) + 1
+            if not line.strip():
+                continue
+            try:
                 row = json.loads(line)
-                record = EvaluationRecord(
-                    sequence_digest=row["digest"],
-                    runs=int(row["runs"]),
-                    samples=(),
-                    mean=PENALTY if row["mean"] is None else float(row["mean"]),
-                    sample_stddev=0.0 if row["stddev"] is None else float(row["stddev"]),
-                    status=EvaluationStatus(row["status"]),
-                )
-                self._records.setdefault(record.sequence_digest, record)
+            except ValueError:
+                if any(rest.strip() for rest in lines[index + 1 :]):
+                    raise
+                warnings.warn(f"{path}: dropping torn last line {index + 1} of the evaluation cache")
+                with path.open("r+b") as fh:
+                    fh.truncate(start)
+                return
+            record = EvaluationRecord(
+                sequence_digest=row["digest"],
+                runs=int(row["runs"]),
+                samples=(),
+                mean=PENALTY if row["mean"] is None else float(row["mean"]),
+                sample_stddev=0.0 if row["stddev"] is None else float(row["stddev"]),
+                status=EvaluationStatus(row["status"]),
+            )
+            self._records.setdefault(record.sequence_digest, record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -302,18 +323,49 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
 
 
 def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-    """Element-level Levenshtein distance (insert/delete/substitute)."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        current = [i]
-        for j, y in enumerate(b, start=1):
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (x != y)))
-        previous = current
-    return previous[-1]
+    """Element-level Levenshtein distance (insert/delete/substitute).
+
+    Exact for any lengths: trim, then bit-parallel. The common prefix and
+    suffix are stripped first (they never change the distance), and what is
+    left runs through Myers' bit-vector recurrence in its global form, one
+    big-integer step per element of `b` (G. Myers, "A fast bit-vector
+    algorithm for approximate string matching based on dynamic
+    programming", JACM 1999).
+    """
+    lo, hi_a, hi_b = 0, len(a), len(b)
+    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
+        lo += 1
+    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
+        hi_a -= 1
+        hi_b -= 1
+    m = hi_a - lo
+    if m == 0 or hi_b == lo:
+        return m + hi_b - lo
+
+    # peq[x]: bit i set where a[lo + i] == x. Column state: pv/mv mark the
+    # rows whose vertical delta D[i][j] - D[i-1][j] is +1/-1.
+    peq: dict[str, int] = {}
+    for i, x in enumerate(a[lo:hi_a]):
+        peq[x] = peq.get(x, 0) | (1 << i)
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for y in b[lo:hi_b]:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 is D[0][j] = j, so its horizontal delta is always +1.
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+    return score
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .catalog import PassCatalog, PassSequence, UnknownPassError, validate_token
+from .catalog import PassCatalog, PassSequence, UnknownPassError, _trusted_sequence, validate_token
 from .errors import ValidationError
 
 
@@ -92,17 +92,21 @@ def resolve_index(position: float, length: int, slot_mode: str) -> int | None:
 
 
 def apply_patch(seq: PassSequence, patch: Patch) -> PassSequence:
-    """Apply one patch, returning a new sequence; the input is never mutated."""
+    """Apply one patch, returning a new sequence; the input is never mutated.
+
+    Every token of the result comes from `seq` or from `patch.value`, both
+    validated when they were built, so the result skips re-validation.
+    """
     passes = seq.passes
     if patch.ptype is PatchType.INSERTION:
         i = resolve_index(patch.position, len(passes), "gap")
-        return PassSequence(passes[:i] + (patch.value,) + passes[i:], seq.label)
+        return _trusted_sequence(passes[:i] + (patch.value,) + passes[i:], seq.label)
     i = resolve_index(patch.position, len(passes), "element")
     if i is None:
         return seq
     if patch.ptype is PatchType.DELETION:
-        return PassSequence(passes[:i] + passes[i + 1 :], seq.label)
-    return PassSequence(passes[:i] + (patch.value,) + passes[i + 1 :], seq.label)
+        return _trusted_sequence(passes[:i] + passes[i + 1 :], seq.label)
+    return _trusted_sequence(passes[:i] + (patch.value,) + passes[i + 1 :], seq.label)
 
 
 def apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:

@@ -1,9 +1,11 @@
 import functools
 import itertools
+import json
 import math
 import random
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -51,6 +53,73 @@ def recursive_edit_distance(a: tuple, b: tuple) -> int:
 @given(st.lists(st.sampled_from("abc"), max_size=9), st.lists(st.sampled_from("abc"), max_size=9))
 def test_edit_distance_matches_recursive_oracle(a, b):
     assert edit_distance(tuple(a), tuple(b)) == recursive_edit_distance(tuple(a), tuple(b))
+
+
+# --- independent oracle: the full-matrix DP --------------------------------
+
+def matrix_edit_distance(a: tuple, b: tuple) -> int:
+    """The O(len(a) * len(b)) Wagner-Fischer table, row by row."""
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        current = [i]
+        for j, y in enumerate(b, start=1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (x != y)))
+        previous = current
+    return previous[-1]
+
+
+@st.composite
+def token_pairs(draw):
+    """Two sequences of 0-150 tokens over a 1-4 symbol alphabet."""
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=150)
+    return tuple(draw(tokens)), tuple(draw(tokens))
+
+
+@st.composite
+def edited_pairs(draw):
+    """A base sequence and a copy with 0-4 random edits, so the trim has work."""
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    base = draw(st.lists(st.sampled_from(alphabet), max_size=150))
+    edited = list(base)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("insert", "delete", "replace") if edited else ("insert",)))
+        if op == "insert":
+            edited.insert(draw(st.integers(0, len(edited))), draw(st.sampled_from(alphabet)))
+        elif op == "delete":
+            del edited[draw(st.integers(0, len(edited) - 1))]
+        else:
+            edited[draw(st.integers(0, len(edited) - 1))] = draw(st.sampled_from(alphabet))
+    return tuple(base), tuple(edited)
+
+
+@given(token_pairs())
+def test_edit_distance_matches_matrix_oracle(pair):
+    a, b = pair
+    assert edit_distance(a, b) == matrix_edit_distance(a, b)
+
+
+@given(edited_pairs())
+def test_edit_distance_matches_matrix_oracle_near_copies(pair):
+    a, b = pair
+    assert edit_distance(a, b) == matrix_edit_distance(a, b) <= 4
+
+
+@given(st.one_of(token_pairs(), edited_pairs()))
+def test_edit_distance_is_symmetric(pair):
+    a, b = pair
+    assert edit_distance(a, b) == edit_distance(b, a)
+
+
+def test_edit_distance_crosses_word_boundaries():
+    # after trimming the shared "x"/"y" ends, `a` keeps a core of exactly n tokens
+    rng = random.Random(7)
+    for n in (63, 64, 65, 130):
+        a = ("a",) + tuple(rng.choice("ab") for _ in range(n - 2)) + ("a",)
+        b = ("b",) + tuple(rng.choice("ab") for _ in range(n + 1)) + ("b",)
+        expected = matrix_edit_distance(a, b)
+        assert edit_distance(("x",) + a + ("y",), ("x",) + b + ("y",)) == expected
+        assert edit_distance(b, a) == expected
 
 
 def test_edit_distance_examples():
@@ -304,6 +373,40 @@ def test_cache_persists_and_reloads(tmp_path):
     bad = reloaded.get("d2")
     assert bad.fitness == PENALTY
     assert bad.status is EvaluationStatus.COMPILE_ERROR
+
+
+def _cache_line(digest: str, mean: float) -> str:
+    row = {"digest": digest, "mean": mean, "runs": 1, "status": "ok", "stddev": 0.0}
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+def test_cache_skips_torn_last_line_and_resumes(tmp_path):
+    path = tmp_path / "eval_cache.jsonl"
+    whole = _cache_line("ab", 1.5) + _cache_line("bc", 2.5)
+    path.write_text(whole + '{"digest": "cd", "me', "utf-8")
+    with pytest.warns(UserWarning, match="eval_cache.jsonl"):
+        cache = EvaluationCache(path)
+    assert len(cache) == 2
+    assert cache.get("ab").mean == 1.5
+    assert cache.get("bc").mean == 2.5
+    assert cache.get("cd") is None
+    # the torn tail is cut, so the next append starts on its own line
+    assert path.read_text("utf-8") == whole
+    cache.put(EvaluationRecord("cd", 1, (3.5,), 3.5, 0.0, EvaluationStatus.OK))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = EvaluationCache(path)
+    assert len(reloaded) == 3
+    assert reloaded.get("cd").mean == 3.5
+
+
+def test_cache_rejects_malformed_line_before_the_last(tmp_path):
+    path = tmp_path / "eval_cache.jsonl"
+    text = _cache_line("ab", 1.5) + '{"digest": "cd", "me\n' + _cache_line("ef", 2.5)
+    path.write_text(text, "utf-8")
+    with pytest.raises(ValueError):
+        EvaluationCache(path)
+    assert path.read_text("utf-8") == text
 
 
 def test_cache_first_writer_wins():

@@ -162,6 +162,29 @@ def test_apply_individual_double_delete_empties():
     assert apply_individual(seq("a"), ind).passes == ()
 
 
+def test_patched_sequences_match_validated_construction():
+    # apply_patch skips re-validation; its results must be ordinary sequences
+    rng = random.Random(31337)
+    for baseline, ind in random_corpus(2_000, rng):
+        labelled = PassSequence(baseline.passes, label="base")
+        results = [apply_individual(labelled, ind)]
+        results += [apply_patch(labelled, patch) for patch in ind.patches]
+        for out in results:
+            validated = PassSequence(tuple(out.passes), "base")
+            assert type(out) is PassSequence
+            assert out == validated
+            assert hash(out) == hash(validated)
+            assert out.label == "base"
+
+
+def test_bad_tokens_still_rejected_at_the_boundary():
+    with pytest.raises(ValueError):
+        PassSequence(("a\tb",))
+    for ptype in (PatchType.INSERTION, PatchType.REPLACEMENT):
+        with pytest.raises(ValueError):
+            Patch(ptype, 0.5, "a b")
+
+
 def test_oracle_equivalence_10k_cases():
     rng = random.Random(20250810)
     for baseline, ind in random_corpus(10_000, rng):
