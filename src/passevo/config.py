@@ -24,29 +24,18 @@ class ConfigError(ValidationError):
     pass
 
 
-_BOOLEANS = {
-    "true": True, "yes": True, "1": True, "on": True,
-    "false": False, "no": False, "0": False, "off": False,
-}
-
-
 def _convert(section: str, key: str, raw: str, target_type):
     try:
         if target_type is int:
             return int(raw)
         if target_type is float:
             return float(raw)
-        if target_type is bool:
-            value = _BOOLEANS.get(raw.strip().lower())
-            if value is None:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return value
         return raw
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-_TYPE_NAMES = {"int": int, "float": float, "bool": bool, "str": str}
+_TYPE_NAMES = {"int": int, "float": float, "str": str}
 
 
 def _field_type(dataclass_type, name: str):
@@ -124,10 +113,8 @@ def load_config(path: str | Path, overrides: dict[tuple[str, str], str] | None =
 
 
 def _render_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
-        return " ".join(str(v) for v in value)
+        return shlex.join(str(v) for v in value)
     return str(value)
 
 

@@ -66,13 +66,17 @@ class ExperimentConfig:
     trials: int = 8
     output_dir: str = "runs/experiment"
     seeds: tuple[int, ...] | None = None
-    remeasure_baseline_per_trial: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seeds is not None and len(self.seeds) != self.trials:
             raise ValueError(f"seeds list has {len(self.seeds)} entries for {self.trials} trials")
+        # default seeds count up from rng_seed, so checking the ends covers them all
+        ends = (self.trial_seed(0), self.trial_seed(self.trials - 1))
+        for seed in self.seeds if self.seeds is not None else ends:
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"trial seed {seed} does not fit in 64 unsigned bits")
 
     def trial_seed(self, index: int) -> int:
         if self.seeds is not None:
@@ -147,17 +151,21 @@ def build_record_fn(
     return lambda seq: evaluate(seq, backend, cache)
 
 
-def measure_baseline(cfg: ExperimentConfig) -> EvaluationRecord:
+def _score_baseline(record_fn: RecordFn, baseline: PassSequence) -> EvaluationRecord:
     """Score the unmodified baseline; a broken baseline is fatal."""
-    catalog = resolve_catalog(cfg.catalog_path)
-    baseline = resolve_sequence(cfg.baseline_path, catalog)
-    record_fn = build_record_fn(cfg.backend, catalog, baseline)
     record = record_fn(baseline)
     if record.status is not EvaluationStatus.OK:
         raise BaselineError(
             f"baseline evaluation failed ({record.status.value}): {record.diagnostics}"
         )
     return record
+
+
+def measure_baseline(cfg: ExperimentConfig) -> EvaluationRecord:
+    """Score the unmodified baseline once, without writing any artifact."""
+    catalog = resolve_catalog(cfg.catalog_path)
+    baseline = resolve_sequence(cfg.baseline_path, catalog)
+    return _score_baseline(build_record_fn(cfg.backend, catalog, baseline), baseline)
 
 
 ProgressFn = Callable[[int, GenerationRecord], None]
@@ -187,30 +195,11 @@ def run_trials(
     record_fn = build_record_fn(cfg.backend, catalog, baseline, cache_path)
     fitness_fn = lambda seq: record_fn(seq).fitness
 
-    baseline_record = record_fn(baseline)
-    if baseline_record.status is not EvaluationStatus.OK:
-        raise BaselineError(
-            f"baseline evaluation failed ({baseline_record.status.value}): "
-            f"{baseline_record.diagnostics}"
-        )
-
-    def fresh_baseline_record() -> EvaluationRecord:
-        # bypasses the cache so a re-measure is a real measurement
-        if cfg.backend.kind == KIND_SIMULATED:
-            return record_fn(baseline)
-        return evaluate(baseline, cfg.backend, None)
+    baseline_fitness = _score_baseline(record_fn, baseline).fitness
 
     results: list[TrialResult] = []
     for index in range(cfg.trials):
         seed = cfg.trial_seed(index)
-        if cfg.remeasure_baseline_per_trial and index > 0:
-            baseline_record = fresh_baseline_record()
-            if baseline_record.status is not EvaluationStatus.OK:
-                raise BaselineError(
-                    f"baseline re-measurement failed ({baseline_record.status.value}): "
-                    f"{baseline_record.diagnostics}"
-                )
-        baseline_fitness = baseline_record.fitness
         trial_progress = None
         if progress is not None:
             trial_progress = lambda rec, _i=index: progress(_i, rec)

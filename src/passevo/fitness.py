@@ -285,7 +285,12 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
         hit = cache.get(digest)
         if hit is not None:
             return hit
+    record = _measure(seq, cfg, digest)
+    return cache.put(record) if cache is not None else record
 
+
+def _measure(seq: PassSequence, cfg: BackendConfig, digest: str) -> EvaluationRecord:
+    """Build in a scratch directory and time the runs; failures become records."""
     workdir = cfg.workdir or None
     if workdir is not None:
         Path(workdir).mkdir(parents=True, exist_ok=True)
@@ -293,25 +298,22 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
         try:
             exe = build_executable(seq, cfg, Path(tmp))
         except CompileFailure as fail:
-            record = _failure(digest, cfg, fail.status, fail.diagnostics)
-            return cache.put(record) if cache is not None else record
+            return _failure(digest, cfg, fail.status, fail.diagnostics)
 
         samples: list[float] = []
         argv = [str(exe), *cfg.program_args]
         for _ in range(cfg.runs_per_eval):
             result = time_execution(argv, cfg.run_timeout)
             if result.timed_out:
-                record = _failure(digest, cfg, EvaluationStatus.TIMEOUT, f"run timed out:\n{result.output}")
-                return cache.put(record) if cache is not None else record
+                return _failure(digest, cfg, EvaluationStatus.TIMEOUT, f"run timed out:\n{result.output}")
             if result.returncode != 0:
-                record = _failure(
+                return _failure(
                     digest, cfg, EvaluationStatus.RUN_ERROR,
                     f"run failed (exit {result.returncode}):\n{result.output}",
                 )
-                return cache.put(record) if cache is not None else record
             samples.append(result.seconds)
 
-    record = EvaluationRecord(
+    return EvaluationRecord(
         sequence_digest=digest,
         runs=cfg.runs_per_eval,
         samples=tuple(samples),
@@ -319,7 +321,6 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
         sample_stddev=statistics.stdev(samples) if len(samples) > 1 else 0.0,
         status=EvaluationStatus.OK,
     )
-    return cache.put(record) if cache is not None else record
 
 
 def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:

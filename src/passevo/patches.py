@@ -117,29 +117,6 @@ def apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:
     return seq
 
 
-def apply_individual_to_snapshot(baseline: PassSequence, ind: Individual) -> PassSequence:
-    """Alternative semantics: resolve every position against the original length.
-
-    Kept so the two position-resolution conventions can be compared
-    experimentally; the engine itself always uses apply_individual.
-    """
-    snapshot_len = len(baseline)
-    passes = list(baseline.passes)
-    for patch in ind.patches:
-        if patch.ptype is PatchType.INSERTION:
-            i = resolve_index(patch.position, snapshot_len, "gap")
-            passes.insert(min(i, len(passes)), patch.value)
-        else:
-            i = resolve_index(patch.position, snapshot_len, "element")
-            if i is None or i >= len(passes):
-                continue
-            if patch.ptype is PatchType.DELETION:
-                del passes[i]
-            else:
-                passes[i] = patch.value
-    return PassSequence(tuple(passes), baseline.label)
-
-
 def _format_position(position: float) -> str:
     text = f"{position:.6f}"
     if float(text) == position:

@@ -43,6 +43,10 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL + "typo_rate = 0.5\n")
     assert "typo_rate" in str(err.value)
+    # removed keys are unknown keys, not silently ignored
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(with_experiment_key("remeasure_baseline_per_trial = false"))
+    assert "remeasure_baseline_per_trial" in str(err.value)
 
 
 def test_bad_type_rejected():
@@ -55,6 +59,12 @@ def test_bad_type_rejected():
 def test_bad_range_rejected():
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL.replace("trials = 2", "trials = 0"))
+    # every trial seed becomes a GAConfig.rng_seed, an unsigned 64-bit value;
+    # the second trial of rng_seed = 2**64 - 1 would run with seed 2**64
+    with pytest.raises(ConfigError):
+        parse_config_text(with_experiment_key("seeds = -1 2"))
+    with pytest.raises(ConfigError):
+        parse_config_text(MINIMAL.replace("[ga]\n", f"[ga]\nrng_seed = {2**64 - 1}\n"))
 
 
 def with_experiment_key(line: str) -> str:
@@ -70,17 +80,10 @@ def test_seeds_parse_with_commas_or_spaces():
         parse_config_text(with_experiment_key("seeds = 1 two"))
 
 
-def test_booleans_parse():
-    cfg = parse_config_text(with_experiment_key("remeasure_baseline_per_trial = yes"))
-    assert cfg.remeasure_baseline_per_trial is True
-    with pytest.raises(ConfigError):
-        parse_config_text(with_experiment_key("remeasure_baseline_per_trial = maybe"))
-
-
-def test_program_args_split_shell_style(tmp_path):
+def external_config_text(tmp_path) -> str:
     source = tmp_path / "p.c"
     source.write_text("int main(){}\n")
-    text = (
+    return (
         "[backend]\n"
         "kind = external_compiler\n"
         f"source_path = {source}\n"
@@ -89,7 +92,10 @@ def test_program_args_split_shell_style(tmp_path):
         "linker_command = cp {ir} {output}\n"
         'program_args = --size 10 "two words"\n'
     )
-    cfg = parse_config_text(text)
+
+
+def test_program_args_split_shell_style(tmp_path):
+    cfg = parse_config_text(external_config_text(tmp_path))
     assert cfg.backend.program_args == ("--size", "10", "two words")
 
 
@@ -140,6 +146,10 @@ def test_write_config_round_trips(tmp_path):
     echo = tmp_path / "echo.ini"
     write_config(cfg, echo)
     assert load_config(echo) == cfg
+
+    external = parse_config_text(external_config_text(tmp_path))
+    write_config(external, echo)
+    assert load_config(echo) == external
 
 
 def test_load_config_missing_file():

@@ -12,7 +12,6 @@ from passevo.patches import (
     PatchType,
     PositionOutOfRangeError,
     apply_individual,
-    apply_individual_to_snapshot,
     apply_patch,
     parse_individual,
     resolve_index,
@@ -224,19 +223,15 @@ def test_apply_individual_deterministic():
         assert first.passes == second.passes
 
 
-def test_snapshot_semantics_differ_when_lengths_shift():
-    # Under snapshot resolution both deletions target index 0 of the original
-    # 2-element sequence; under sequential resolution the second deletion sees
-    # a 1-element sequence. Both must still be total.
+def test_sequential_resolution_tracks_shifting_lengths():
+    # The second deletion resolves against the 1-element sequence the first
+    # one left, and still applies.
     baseline = seq("a", "b")
     ind = Individual((Patch(PatchType.DELETION, 0.4), Patch(PatchType.DELETION, 0.4)))
     assert apply_individual(baseline, ind).passes == ()
-    assert apply_individual_to_snapshot(baseline, ind).passes == ()
-    # two appends at position 1.0: sequential resolution tracks the growing
-    # length, snapshot resolution keeps aiming at the original end
+    # two appends at position 1.0: each resolves against the grown length
     grown = Individual((Patch(PatchType.INSERTION, 1.0, "x"), Patch(PatchType.INSERTION, 1.0, "y")))
     assert apply_individual(baseline, grown).passes == ("a", "b", "x", "y")
-    assert apply_individual_to_snapshot(baseline, grown).passes == ("a", "b", "y", "x")
 
 
 # --- serialization -----------------------------------------------------------
