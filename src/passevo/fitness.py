@@ -11,6 +11,14 @@ simply moves past broken candidates.
 Timing runs for one record are strictly sequential to avoid self-contention
 skew; concurrency, if any, belongs at the compilation level and must go
 through the cache, which keeps the first record written per digest.
+
+Each distinct executable is timed once. After the build, the cache is asked
+for a record timed from a byte-identical executable (same sha256); if it
+holds one, the candidate gets a copy of it under its own sequence digest and
+no run is repeated. Many pass sequences build the same binary: a pass that
+is a no-op at its position, or one a later pass undoes, changes nothing.
+A tool or program that could not be started at all is a fault of the
+environment, not of the candidate, so that record is never cached.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import tempfile
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .catalog import PassCatalog, PassSequence
@@ -36,6 +44,9 @@ PENALTY = float("inf")
 
 KIND_EXTERNAL = "external_compiler"
 KIND_SIMULATED = "simulated"
+
+# Failure diagnostics kept per persisted cache row: the tail, where the error is.
+DIAGNOSTICS_KEPT = 2000
 
 
 class EvaluationStatus(enum.Enum):
@@ -108,12 +119,16 @@ def sequence_digest(seq: PassSequence) -> str:
 class EvaluationCache:
     """Digest-keyed record store, optionally persisted as JSON lines.
 
-    put() keeps the first record per digest; concurrent writers therefore
-    agree on one canonical record. Records are immutable once stored.
+    put() keeps the first record per sequence digest; concurrent writers
+    therefore agree on one canonical record. A record timed from an
+    executable is also indexed by the executable's digest, first writer
+    wins, so get_timed() can hand its timing to a candidate that builds the
+    same bytes. Records are immutable once stored.
     """
 
     def __init__(self, path: Path | str | None = None):
         self._records: dict[str, EvaluationRecord] = {}
+        self._timed: dict[str, EvaluationRecord] = {}
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
@@ -148,8 +163,11 @@ class EvaluationCache:
                 mean=PENALTY if row["mean"] is None else float(row["mean"]),
                 sample_stddev=0.0 if row["stddev"] is None else float(row["stddev"]),
                 status=EvaluationStatus(row["status"]),
+                diagnostics=row.get("diagnostics", ""),
             )
             self._records.setdefault(record.sequence_digest, record)
+            if row.get("exe") is not None:
+                self._timed.setdefault(row["exe"], record)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -158,12 +176,20 @@ class EvaluationCache:
         with self._lock:
             return self._records.get(digest)
 
-    def put(self, record: EvaluationRecord) -> EvaluationRecord:
+    def get_timed(self, exe_digest: str) -> EvaluationRecord | None:
+        """The first record timed from the executable with this digest."""
+        with self._lock:
+            return self._timed.get(exe_digest)
+
+    def put(self, record: EvaluationRecord, exe_digest: str | None = None) -> EvaluationRecord:
+        """Store a record, and index it by `exe_digest` if it was timed from an executable."""
         with self._lock:
             existing = self._records.get(record.sequence_digest)
             if existing is not None:
                 return existing
             self._records[record.sequence_digest] = record
+            if exe_digest is not None:
+                self._timed.setdefault(exe_digest, record)
             if self._path is not None:
                 row = {
                     "digest": record.sequence_digest,
@@ -171,7 +197,10 @@ class EvaluationCache:
                     "runs": record.runs,
                     "mean": record.mean if math.isfinite(record.mean) else None,
                     "stddev": record.sample_stddev if math.isfinite(record.sample_stddev) else None,
+                    "diagnostics": record.diagnostics[-DIAGNOSTICS_KEPT:],
                 }
+                if exe_digest is not None:
+                    row["exe"] = exe_digest
                 with self._path.open("a", encoding="utf-8") as fh:
                     fh.write(json.dumps(row, sort_keys=True) + "\n")
             return record
@@ -234,10 +263,15 @@ class CompileFailure(Exception):
         self.diagnostics = diagnostics
 
 
+class SpawnFailure(CompileFailure):
+    """A build tool or the program could not be started at all."""
+
+
 def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path) -> Path:
     """Run front-end, optimizer and linker; return the executable path.
 
-    Raises CompileFailure with the failing stage's captured output.
+    Raises CompileFailure with the failing stage's captured output, or its
+    subclass SpawnFailure when a stage's tool could not be started.
     """
     ir = build_dir / "program.ir"
     optimized = build_dir / "program.opt.ir"
@@ -252,6 +286,8 @@ def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path) -> 
         result = time_execution(argv, cfg.compile_timeout)
         if result.timed_out:
             raise CompileFailure(EvaluationStatus.TIMEOUT, f"{name} timed out:\n{result.output}")
+        if result.returncode is None:
+            raise SpawnFailure(EvaluationStatus.COMPILE_ERROR, f"{name} failed:\n{result.output}")
         if result.returncode != 0:
             raise CompileFailure(
                 EvaluationStatus.COMPILE_ERROR,
@@ -276,7 +312,9 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
     """Compile with the candidate sequence and time it runs_per_eval times.
 
     Total by design: every failure mode comes back as a record, never as an
-    exception, and the cache short-circuits repeat evaluations by digest.
+    exception. The cache short-circuits repeat evaluations by sequence
+    digest, and repeat timings of a byte-identical executable. A record for
+    a tool or program that could not be started is returned but not cached.
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError("evaluate() drives the external toolchain; use simulated_fitness for models")
@@ -285,32 +323,53 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
         hit = cache.get(digest)
         if hit is not None:
             return hit
-    record = _measure(seq, cfg, digest)
-    return cache.put(record) if cache is not None else record
+    try:
+        record, exe_digest = _measure(seq, cfg, digest, cache)
+    except SpawnFailure as fail:
+        return _failure(digest, cfg, fail.status, fail.diagnostics)
+    return cache.put(record, exe_digest) if cache is not None else record
 
 
-def _measure(seq: PassSequence, cfg: BackendConfig, digest: str) -> EvaluationRecord:
-    """Build in a scratch directory and time the runs; failures become records."""
+def _measure(
+    seq: PassSequence, cfg: BackendConfig, digest: str, cache: EvaluationCache | None
+) -> tuple[EvaluationRecord, str | None]:
+    """Build in a scratch directory and time the runs; failures become records.
+
+    Returns the record and the sha256 of the executable it was timed from
+    (None when the build failed). An executable the cache has already timed
+    is not run again: its record is copied under this sequence's digest.
+    Raises SpawnFailure when a tool or the program could not be started.
+    """
     workdir = cfg.workdir or None
     if workdir is not None:
         Path(workdir).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="passevo-", dir=workdir) as tmp:
         try:
             exe = build_executable(seq, cfg, Path(tmp))
+        except SpawnFailure:
+            raise
         except CompileFailure as fail:
-            return _failure(digest, cfg, fail.status, fail.diagnostics)
+            return _failure(digest, cfg, fail.status, fail.diagnostics), None
+
+        exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
+        timed = cache.get_timed(exe_digest) if cache is not None else None
+        if timed is not None:
+            return replace(timed, sequence_digest=digest), exe_digest
 
         samples: list[float] = []
         argv = [str(exe), *cfg.program_args]
         for _ in range(cfg.runs_per_eval):
             result = time_execution(argv, cfg.run_timeout)
             if result.timed_out:
-                return _failure(digest, cfg, EvaluationStatus.TIMEOUT, f"run timed out:\n{result.output}")
+                diagnostics = f"run timed out:\n{result.output}"
+                return _failure(digest, cfg, EvaluationStatus.TIMEOUT, diagnostics), exe_digest
+            if result.returncode is None:
+                raise SpawnFailure(EvaluationStatus.RUN_ERROR, f"run failed:\n{result.output}")
             if result.returncode != 0:
                 return _failure(
                     digest, cfg, EvaluationStatus.RUN_ERROR,
                     f"run failed (exit {result.returncode}):\n{result.output}",
-                )
+                ), exe_digest
             samples.append(result.seconds)
 
     return EvaluationRecord(
@@ -320,7 +379,7 @@ def _measure(seq: PassSequence, cfg: BackendConfig, digest: str) -> EvaluationRe
         mean=statistics.fmean(samples),
         sample_stddev=statistics.stdev(samples) if len(samples) > 1 else 0.0,
         status=EvaluationStatus.OK,
-    )
+    ), exe_digest
 
 
 def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:

@@ -9,7 +9,9 @@ linker:
 
 The "source" is a directive file whose first line is one of: ok, sleep <s>,
 spin, exit1. The optimizer refuses the pass token '-broken' (nonzero exit)
-and records the received pass list in the IR; the linker emits a runnable
+and records the received pass list in the IR, leaving out every '-noop'
+token, so sequences that differ only in '-noop' link to byte-identical
+programs; the linker emits a runnable
 Python script that performs the directive and prints the pass list, so tests
 can verify the sequence flowed through the whole pipeline.
 """
@@ -31,7 +33,7 @@ def main() -> int:
 
     if stage == "opt":
         ir, output = sys.argv[2], sys.argv[3]
-        passes = sys.argv[4:]
+        passes = [p for p in sys.argv[4:] if p != "-noop"]
         if "-broken" in passes:
             print("fake-opt: unknown pass '-broken'", file=sys.stderr)
             return 1

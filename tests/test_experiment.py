@@ -204,7 +204,8 @@ def test_external_backend_uses_persistent_cache(tmp_path):
     assert cache_file.is_file()
     rows = [json.loads(line) for line in cache_file.read_text().splitlines()]
     assert len(rows) >= 1
-    assert all(set(r) == {"digest", "status", "runs", "mean", "stddev"} for r in rows)
+    fields = {"digest", "status", "runs", "mean", "stddev", "diagnostics", "exe"}
+    assert all(set(r) == fields for r in rows)
 
 
 def test_simulated_record_fn_memoizes(tmp_path):

@@ -332,6 +332,116 @@ def test_evaluate_cache_hit_skips_toolchain(tmp_path, monkeypatch):
     assert calls == after_first
 
 
+@pytest.fixture
+def program_runs(monkeypatch):
+    """Record every timed run of a built program (not the build stages)."""
+    runs = []
+    real = fitness_mod.time_execution
+
+    def counting(argv, timeout):
+        if argv[0].endswith("program.bin"):
+            runs.append(argv[0])
+        return real(argv, timeout)
+
+    monkeypatch.setattr(fitness_mod, "time_execution", counting)
+    return runs
+
+
+def test_identical_executable_is_timed_once(tmp_path, program_runs):
+    # the fake optimizer drops -noop, so both sequences link the same bytes
+    cfg = fake_backend(tmp_path, runs_per_eval=3)
+    cache = EvaluationCache()
+    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    assert len(program_runs) == 3
+    second = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    assert len(program_runs) == 3
+    assert second.sequence_digest == sequence_digest(PassSequence(("-sroa", "-noop")))
+    assert second.sequence_digest != first.sequence_digest
+    assert (second.samples, second.mean, second.sample_stddev, second.status) == (
+        first.samples, first.mean, first.sample_stddev, first.status)
+    assert len(second.samples) == 3
+    assert len(cache) == 2
+    assert cache.get(second.sequence_digest) is second
+
+
+def test_executable_index_persists_and_reloads(tmp_path, program_runs):
+    cfg = fake_backend(tmp_path, runs_per_eval=2)
+    path = tmp_path / "eval_cache.jsonl"
+    cache = EvaluationCache(path)
+    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    assert len(rows) == 2
+    assert rows[0]["exe"] == rows[1]["exe"]
+    assert len(program_runs) == 2
+
+    third = evaluate(PassSequence(("-noop", "-sroa", "-noop")), cfg, EvaluationCache(path))
+    assert len(program_runs) == 2
+    assert third.status is EvaluationStatus.OK
+    assert third.mean == first.mean
+    assert third.samples == ()  # copied from a reloaded record
+    assert json.loads(path.read_text("utf-8").splitlines()[2])["exe"] == rows[0]["exe"]
+
+
+def test_different_executable_is_timed(tmp_path, program_runs):
+    cfg = fake_backend(tmp_path, runs_per_eval=2)
+    cache = EvaluationCache()
+    evaluate(PassSequence(("-sroa",)), cfg, cache)
+    record = evaluate(PassSequence(("-sroa", "-gvn")), cfg, cache)
+    assert len(program_runs) == 4
+    assert len(record.samples) == 2
+
+
+def test_failed_runs_are_shared_by_identical_executables(tmp_path, program_runs):
+    cfg = fake_backend(tmp_path, behavior="exit1", runs_per_eval=2)
+    cache = EvaluationCache()
+    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    second = evaluate(PassSequence(("-noop", "-sroa")), cfg, cache)
+    assert len(program_runs) == 1
+    assert first.status is second.status is EvaluationStatus.RUN_ERROR
+    assert second.diagnostics == first.diagnostics
+
+
+def test_tool_spawn_failure_is_not_cached(tmp_path):
+    path = tmp_path / "eval_cache.jsonl"
+    seq = PassSequence(("-sroa",))
+    missing = fake_backend(tmp_path, compiler_front_command="/nonexistent/passevo-cc {source} {ir}")
+    cache = EvaluationCache(path)
+    record = evaluate(seq, missing, cache)
+    assert record.status is EvaluationStatus.COMPILE_ERROR
+    assert "spawn failed" in record.diagnostics
+    assert len(cache) == 0
+    assert not path.exists() or path.read_text("utf-8") == ""
+
+    # once the tool is there, the same output directory evaluates it for real
+    record = evaluate(seq, fake_backend(tmp_path), EvaluationCache(path))
+    assert record.status is EvaluationStatus.OK
+    assert len(path.read_text("utf-8").splitlines()) == 1
+
+
+def test_program_spawn_failure_is_not_cached(tmp_path, monkeypatch):
+    real = fitness_mod.time_execution
+
+    def unstartable(argv, timeout):
+        if argv[0].endswith("program.bin"):
+            return RunResult(0.0, None, False, "spawn failed: [Errno 8] Exec format error")
+        return real(argv, timeout)
+
+    monkeypatch.setattr(fitness_mod, "time_execution", unstartable)
+    cfg = fake_backend(tmp_path)
+    cache = EvaluationCache()
+    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    assert record.status is EvaluationStatus.RUN_ERROR
+    assert "spawn failed" in record.diagnostics
+    assert len(cache) == 0
+
+    # no executable was indexed either: a byte-identical build is timed
+    monkeypatch.setattr(fitness_mod, "time_execution", real)
+    record = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    assert record.status is EvaluationStatus.OK
+    assert len(record.samples) == cfg.runs_per_eval
+
+
 def test_evaluate_rejects_simulated_config():
     with pytest.raises(ValueError):
         evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"))
@@ -373,6 +483,50 @@ def test_cache_persists_and_reloads(tmp_path):
     bad = reloaded.get("d2")
     assert bad.fitness == PENALTY
     assert bad.status is EvaluationStatus.COMPILE_ERROR
+    assert bad.diagnostics == "x"
+
+
+def test_cache_reloads_the_tail_of_long_diagnostics(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    diagnostics = "optimizer failed (exit 1):\n" + "".join(f"line {i}\n" for i in range(1000))
+    assert len(diagnostics) > fitness_mod.DIAGNOSTICS_KEPT
+    record = EvaluationRecord("d", 4, (), PENALTY, 0.0, EvaluationStatus.COMPILE_ERROR, diagnostics)
+    assert EvaluationCache(path).put(record).diagnostics == diagnostics
+    reloaded = EvaluationCache(path).get("d")
+    assert reloaded.diagnostics == diagnostics[-fitness_mod.DIAGNOSTICS_KEPT:]
+
+
+def test_cache_indexes_first_writer_per_executable_under_threads(tmp_path):
+    import threading
+
+    path = tmp_path / "cache.jsonl"
+    cache = EvaluationCache(path)
+    records = [EvaluationRecord(f"d{i}", 1, (float(i),), float(i), 0.0, EvaluationStatus.OK) for i in range(64)]
+    barrier = threading.Barrier(8)
+
+    def writer(k):
+        barrier.wait(timeout=10)
+        for record in records[k::8]:
+            cache.put(record, "exe")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(cache) == 64
+    rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    assert len(rows) == 64 and all(row["exe"] == "exe" for row in rows)
+    # the indexed record is the one written first, in memory and after a reload
+    assert cache.get_timed("exe") is cache.get(rows[0]["digest"])
+    assert EvaluationCache(path).get_timed("exe").sequence_digest == rows[0]["digest"]
+
 
 
 def _cache_line(digest: str, mean: float) -> str:
@@ -390,6 +544,7 @@ def test_cache_skips_torn_last_line_and_resumes(tmp_path):
     assert cache.get("ab").mean == 1.5
     assert cache.get("bc").mean == 2.5
     assert cache.get("cd") is None
+    assert cache.get("ab").diagnostics == ""  # rows written before diagnostics were kept
     # the torn tail is cut, so the next append starts on its own line
     assert path.read_text("utf-8") == whole
     cache.put(EvaluationRecord("cd", 1, (3.5,), 3.5, 0.0, EvaluationStatus.OK))
@@ -439,3 +594,32 @@ def test_time_execution_on_real_compiled_binary(tmp_path):
     assert first.seconds > 0 and math.isfinite(first.seconds)
     assert first.output == second.output
     assert "subsets hitting" in first.output
+
+
+# --- real LLVM 14 toolchain without clang -------------------------------------
+
+def test_llvm14_identical_binaries_timed_once(tmp_path, program_runs):
+    import shutil
+
+    if not all(shutil.which(tool) for tool in ("opt", "llc", "gcc")):
+        pytest.skip("needs opt, llc and gcc on PATH")
+    source = tmp_path / "main.ll"
+    source.write_text("define i32 @main() {\nentry:\n  ret i32 0\n}\n", "utf-8")
+    cfg = fitness_mod.BackendConfig(
+        kind="external_compiler",
+        source_path=str(source),
+        compiler_front_command="cp {source} {ir}",
+        optimizer_command="opt -S -enable-new-pm=0 {passes} {ir} -o {output}",
+        linker_command="""sh -c 'llc -O2 "$0" -o "$1.s" && gcc -no-pie "$1.s" -o "$1"' {ir} {output}""",
+        runs_per_eval=3,
+        workdir=str(tmp_path / "build"),
+    )
+    cache = EvaluationCache()
+    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    assert first.status is EvaluationStatus.OK, first.diagnostics
+    assert len(program_runs) == 3
+    # -verify changes no code, and each build runs in its own directory
+    second = evaluate(PassSequence(("-sroa", "-verify")), cfg, cache)
+    assert second.status is EvaluationStatus.OK, second.diagnostics
+    assert len(program_runs) == 3
+    assert second.mean == first.mean
