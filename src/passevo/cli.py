@@ -17,10 +17,10 @@ import sys
 from pathlib import Path
 
 from .catalog import serialize_sequence
-from .config import ConfigError, load_config
-from .errors import ExecutionError, ValidationError
+from .config import load_config
+from .errors import ConfigError, ExecutionError, ValidationError
 from .experiment import measure_baseline, resolve_catalog, resolve_sequence, run_trials
-from .fitness import KIND_EXTERNAL, KIND_SIMULATED
+from .fitness import KIND_SIMULATED
 from .patches import apply_individual, parse_individual
 from .stats import summarize
 
@@ -28,17 +28,12 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_BACKEND_FLAG = {"external": KIND_EXTERNAL, "simulated": KIND_SIMULATED}
-
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="experiment config file (INI)")
     parser.add_argument("--trials", type=int, help="override [experiment] trials")
     parser.add_argument("--seed", type=int, help="override [ga] rng_seed")
     parser.add_argument("--output-dir", help="override [experiment] output_dir")
-    parser.add_argument(
-        "--backend", choices=sorted(_BACKEND_FLAG), help="override [backend] kind"
-    )
     parser.add_argument(
         "--verbose", action="store_true", help="log one line per generation"
     )
@@ -79,8 +74,6 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[tuple[str, str], str]
         overrides[("ga", "rng_seed")] = str(args.seed)
     if args.output_dir is not None:
         overrides[("experiment", "output_dir")] = args.output_dir
-    if args.backend is not None:
-        overrides[("backend", "kind")] = _BACKEND_FLAG[args.backend]
     return overrides
 
 

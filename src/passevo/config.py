@@ -14,14 +14,10 @@ import shlex
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ConfigError
 from .evolution import GAConfig
 from .experiment import ExperimentConfig
 from .fitness import KIND_EXTERNAL, BackendConfig
-
-
-class ConfigError(ValidationError):
-    pass
 
 
 def _convert(section: str, key: str, raw: str, target_type):
@@ -71,6 +67,9 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
             raise ConfigError(f"unknown section [{section}]")
 
     if overrides:
+        # a new base seed or trial count supersedes the file's per-trial seeds
+        if overrides.keys() & {("ga", "rng_seed"), ("experiment", "trials")} and parser.has_section("experiment"):
+            parser.remove_option("experiment", "seeds")
         for (section, key), value in overrides.items():
             if not parser.has_section(section):
                 parser.add_section(section)

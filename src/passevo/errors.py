@@ -14,5 +14,9 @@ class ValidationError(PassEvoError):
     pass
 
 
+class ConfigError(ValidationError):
+    """A missing or malformed config, catalog, sequence or input file."""
+
+
 class ExecutionError(PassEvoError):
     pass

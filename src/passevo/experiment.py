@@ -28,7 +28,7 @@ from .catalog import (
     load_sequence,
     serialize_sequence,
 )
-from .errors import ExecutionError, ValidationError
+from .errors import ConfigError, ExecutionError
 from .evolution import GAConfig, EvolutionHistory, GenerationRecord, evolve
 from .fitness import (
     KIND_SIMULATED,
@@ -47,10 +47,6 @@ from .stats import SummaryStats, percent_improvement, summarize, DegenerateSampl
 
 BUILTIN_CATALOG = "builtin:catalog"
 BUILTIN_BASELINE = "builtin:baseline"
-
-
-class ConfigurationError(ValidationError):
-    pass
 
 
 class BaselineError(ExecutionError):
@@ -106,7 +102,7 @@ def resolve_catalog(path: str) -> PassCatalog:
         return builtin_catalog()
     file = Path(path)
     if not file.is_file():
-        raise ConfigurationError(f"catalog file not found: {path}")
+        raise ConfigError(f"catalog file not found: {path}")
     return load_catalog(file.read_text("utf-8"), source_label=path)
 
 
@@ -115,7 +111,7 @@ def resolve_sequence(path: str, catalog: PassCatalog) -> PassSequence:
         return builtin_baseline(catalog)
     file = Path(path)
     if not file.is_file():
-        raise ConfigurationError(f"sequence file not found: {path}")
+        raise ConfigError(f"sequence file not found: {path}")
     return load_sequence(file.read_text("utf-8"), catalog, label=path)
 
 
@@ -128,7 +124,9 @@ def build_record_fn(
     baseline: PassSequence,
     cache_path: Path | None = None,
 ) -> RecordFn:
-    """Wire a backend config into a memoized sequence -> record function."""
+    """Wire a backend config into a memoized sequence -> record function.
+
+    Only the external backend persists its records, at `cache_path`."""
     if backend.kind == KIND_SIMULATED:
         if backend.sim_target_path:
             target = resolve_sequence(backend.sim_target_path, catalog)
@@ -189,10 +187,7 @@ def run_trials(
     out_root.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out_root / "effective_config.ini")
 
-    cache_path = None
-    if cfg.backend.kind != KIND_SIMULATED:
-        cache_path = out_root / "eval_cache.jsonl"
-    record_fn = build_record_fn(cfg.backend, catalog, baseline, cache_path)
+    record_fn = build_record_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
     fitness_fn = lambda seq: record_fn(seq).fitness
 
     baseline_fitness = _score_baseline(record_fn, baseline).fitness

@@ -17,8 +17,11 @@ for a record timed from a byte-identical executable (same sha256); if it
 holds one, the candidate gets a copy of it under its own sequence digest and
 no run is repeated. Many pass sequences build the same binary: a pass that
 is a no-op at its position, or one a later pass undoes, changes nothing.
-A tool or program that could not be started at all is a fault of the
-environment, not of the candidate, so that record is never cached.
+
+Every failure of a build stage or a timed run passes through one
+EvaluationFailure, which evaluate turns into the penalty record. A tool or
+program that could not be started at all is a fault of the environment,
+not of the candidate, so that record is never cached.
 """
 
 from __future__ import annotations
@@ -256,22 +259,31 @@ def expand_command(template: str, substitutions: dict[str, str], passes: tuple[s
     return argv
 
 
-class CompileFailure(Exception):
-    def __init__(self, status: EvaluationStatus, diagnostics: str):
+class EvaluationFailure(Exception):
+    """A failed build stage or timed run; one that never started is not `cacheable`."""
+
+    def __init__(self, status: EvaluationStatus, diagnostics: str, cacheable: bool = True):
         super().__init__(diagnostics)
         self.status = status
         self.diagnostics = diagnostics
+        self.cacheable = cacheable
 
 
-class SpawnFailure(CompileFailure):
-    """A build tool or the program could not be started at all."""
+def _check(result: RunResult, what: str, status: EvaluationStatus) -> float:
+    """Return the seconds of a clean exit; raise EvaluationFailure otherwise."""
+    if result.timed_out:
+        raise EvaluationFailure(EvaluationStatus.TIMEOUT, f"{what} timed out:\n{result.output}")
+    if result.returncode is None:
+        raise EvaluationFailure(status, f"{what} failed:\n{result.output}", cacheable=False)
+    if result.returncode != 0:
+        raise EvaluationFailure(status, f"{what} failed (exit {result.returncode}):\n{result.output}")
+    return result.seconds
 
 
 def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path) -> Path:
     """Run front-end, optimizer and linker; return the executable path.
 
-    Raises CompileFailure with the failing stage's captured output, or its
-    subclass SpawnFailure when a stage's tool could not be started.
+    Raises EvaluationFailure with the failing stage's captured output.
     """
     ir = build_dir / "program.ir"
     optimized = build_dir / "program.opt.ir"
@@ -283,29 +295,8 @@ def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path) -> 
     )
     for name, template, subs in stages:
         argv = expand_command(template, subs, seq.passes)
-        result = time_execution(argv, cfg.compile_timeout)
-        if result.timed_out:
-            raise CompileFailure(EvaluationStatus.TIMEOUT, f"{name} timed out:\n{result.output}")
-        if result.returncode is None:
-            raise SpawnFailure(EvaluationStatus.COMPILE_ERROR, f"{name} failed:\n{result.output}")
-        if result.returncode != 0:
-            raise CompileFailure(
-                EvaluationStatus.COMPILE_ERROR,
-                f"{name} failed (exit {result.returncode}):\n{result.output}",
-            )
+        _check(time_execution(argv, cfg.compile_timeout), name, EvaluationStatus.COMPILE_ERROR)
     return exe
-
-
-def _failure(digest: str, cfg: BackendConfig, status: EvaluationStatus, diagnostics: str) -> EvaluationRecord:
-    return EvaluationRecord(
-        sequence_digest=digest,
-        runs=cfg.runs_per_eval,
-        samples=(),
-        mean=PENALTY,
-        sample_stddev=0.0,
-        status=status,
-        diagnostics=diagnostics,
-    )
 
 
 def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | None = None) -> EvaluationRecord:
@@ -313,73 +304,54 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
 
     Total by design: every failure mode comes back as a record, never as an
     exception. The cache short-circuits repeat evaluations by sequence
-    digest, and repeat timings of a byte-identical executable. A record for
-    a tool or program that could not be started is returned but not cached.
+    digest, and repeat timings of a byte-identical executable (the record
+    is copied under this sequence's digest). A record for a tool or program
+    that could not be started is returned but not cached.
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError("evaluate() drives the external toolchain; use simulated_fitness for models")
     digest = sequence_digest(seq)
-    if cache is not None:
-        hit = cache.get(digest)
-        if hit is not None:
-            return hit
-    try:
-        record, exe_digest = _measure(seq, cfg, digest, cache)
-    except SpawnFailure as fail:
-        return _failure(digest, cfg, fail.status, fail.diagnostics)
-    return cache.put(record, exe_digest) if cache is not None else record
-
-
-def _measure(
-    seq: PassSequence, cfg: BackendConfig, digest: str, cache: EvaluationCache | None
-) -> tuple[EvaluationRecord, str | None]:
-    """Build in a scratch directory and time the runs; failures become records.
-
-    Returns the record and the sha256 of the executable it was timed from
-    (None when the build failed). An executable the cache has already timed
-    is not run again: its record is copied under this sequence's digest.
-    Raises SpawnFailure when a tool or the program could not be started.
-    """
+    hit = cache.get(digest) if cache is not None else None
+    if hit is not None:
+        return hit
     workdir = cfg.workdir or None
     if workdir is not None:
         Path(workdir).mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix="passevo-", dir=workdir) as tmp:
-        try:
+    exe_digest = None
+    try:
+        with tempfile.TemporaryDirectory(prefix="passevo-", dir=workdir) as tmp:
             exe = build_executable(seq, cfg, Path(tmp))
-        except SpawnFailure:
-            raise
-        except CompileFailure as fail:
-            return _failure(digest, cfg, fail.status, fail.diagnostics), None
-
-        exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
-        timed = cache.get_timed(exe_digest) if cache is not None else None
-        if timed is not None:
-            return replace(timed, sequence_digest=digest), exe_digest
-
-        samples: list[float] = []
-        argv = [str(exe), *cfg.program_args]
-        for _ in range(cfg.runs_per_eval):
-            result = time_execution(argv, cfg.run_timeout)
-            if result.timed_out:
-                diagnostics = f"run timed out:\n{result.output}"
-                return _failure(digest, cfg, EvaluationStatus.TIMEOUT, diagnostics), exe_digest
-            if result.returncode is None:
-                raise SpawnFailure(EvaluationStatus.RUN_ERROR, f"run failed:\n{result.output}")
-            if result.returncode != 0:
-                return _failure(
-                    digest, cfg, EvaluationStatus.RUN_ERROR,
-                    f"run failed (exit {result.returncode}):\n{result.output}",
-                ), exe_digest
-            samples.append(result.seconds)
-
-    return EvaluationRecord(
-        sequence_digest=digest,
-        runs=cfg.runs_per_eval,
-        samples=tuple(samples),
-        mean=statistics.fmean(samples),
-        sample_stddev=statistics.stdev(samples) if len(samples) > 1 else 0.0,
-        status=EvaluationStatus.OK,
-    ), exe_digest
+            exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
+            timed = cache.get_timed(exe_digest) if cache is not None else None
+            if timed is not None:
+                record = replace(timed, sequence_digest=digest)
+            else:
+                argv = [str(exe), *cfg.program_args]
+                samples = [
+                    _check(time_execution(argv, cfg.run_timeout), "run", EvaluationStatus.RUN_ERROR)
+                    for _ in range(cfg.runs_per_eval)
+                ]
+                record = EvaluationRecord(
+                    sequence_digest=digest,
+                    runs=cfg.runs_per_eval,
+                    samples=tuple(samples),
+                    mean=statistics.fmean(samples),
+                    sample_stddev=statistics.stdev(samples) if len(samples) > 1 else 0.0,
+                    status=EvaluationStatus.OK,
+                )
+    except EvaluationFailure as fail:
+        record = EvaluationRecord(
+            sequence_digest=digest,
+            runs=cfg.runs_per_eval,
+            samples=(),
+            mean=PENALTY,
+            sample_stddev=0.0,
+            status=fail.status,
+            diagnostics=fail.diagnostics,
+        )
+        if not fail.cacheable:
+            return record
+    return cache.put(record, exe_digest) if cache is not None else record
 
 
 def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:

@@ -54,6 +54,14 @@ def test_evolve_flag_overrides_beat_config(tmp_path, capsys):
     assert "trials = 1" in effective
     assert "rng_seed = 7" in effective
 
+    # --seed or --trials supersedes the file's seeds list: seeds count up from rng_seed
+    listed, out_dir = write_sim_config(tmp_path / "listed", trials=3, seeds="5 6 8", generations=2)
+    for flags, seeds in ((["--seed", "9"], [9, 10, 11]), (["--trials", "1", "--seed", "7"], [7])):
+        assert main(["evolve", "--config", str(listed), *flags]) == 0
+        doc = json.loads((out_dir / "summary.json").read_text())
+        assert [t["seed"] for t in doc["trials"]] == seeds
+        assert "seeds" not in (out_dir / "effective_config.ini").read_text()
+
 
 def test_evolve_output_dir_override(tmp_path):
     config, _ = write_sim_config(tmp_path)

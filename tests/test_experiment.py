@@ -4,11 +4,10 @@ import pytest
 
 import passevo.experiment as experiment_mod
 from passevo.catalog import serialize_catalog, serialize_sequence
-from passevo.errors import ExecutionError
+from passevo.errors import ConfigError, ExecutionError
 from passevo.evolution import GAConfig
 from passevo.experiment import (
     BaselineError,
-    ConfigurationError,
     ExperimentConfig,
     build_record_fn,
     measure_baseline,
@@ -182,7 +181,7 @@ def test_builtin_paths_resolve():
 
 
 def test_missing_catalog_file_is_config_error():
-    with pytest.raises(ConfigurationError) as err:
+    with pytest.raises(ConfigError) as err:
         resolve_catalog("/nonexistent/catalog.txt")
     assert "/nonexistent/catalog.txt" in str(err.value)
 

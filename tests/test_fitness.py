@@ -442,6 +442,59 @@ def test_program_spawn_failure_is_not_cached(tmp_path, monkeypatch):
     assert len(record.samples) == cfg.runs_per_eval
 
 
+_STAGE_NAMES = {"front": "front-end", "opt": "optimizer", "link": "linker", "run": "run"}
+_OUTCOMES = {
+    "timeout": RunResult(0.1, None, True, "slow"),
+    "spawn": RunResult(0.0, None, False, "spawn failed: x"),
+    "exit3": RunResult(0.0, 3, False, "boom"),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(_OUTCOMES))
+@pytest.mark.parametrize("stage", sorted(_STAGE_NAMES))
+def test_failure_triage_table(tmp_path, monkeypatch, stage, outcome):
+    """Every stage x outcome: the exact status, diagnostics and caching."""
+    real = fitness_mod.time_execution
+    runs = []
+
+    def inject(argv, timeout):
+        is_run = argv[0].endswith("program.bin")
+        if is_run:
+            runs.append(argv[0])
+        if ("run" if is_run else argv[2]) == stage:
+            return _OUTCOMES[outcome]
+        return real(argv, timeout)
+
+    monkeypatch.setattr(fitness_mod, "time_execution", inject)
+    cfg = fake_backend(tmp_path, runs_per_eval=3)
+    cache = EvaluationCache()
+    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
+
+    name = _STAGE_NAMES[stage]
+    expected = {
+        "timeout": (EvaluationStatus.TIMEOUT, f"{name} timed out:\nslow"),
+        "spawn": (
+            EvaluationStatus.RUN_ERROR if stage == "run" else EvaluationStatus.COMPILE_ERROR,
+            f"{name} failed:\nspawn failed: x",
+        ),
+        "exit3": (
+            EvaluationStatus.RUN_ERROR if stage == "run" else EvaluationStatus.COMPILE_ERROR,
+            f"{name} failed (exit 3):\nboom",
+        ),
+    }[outcome]
+    assert (record.status, record.diagnostics) == expected
+    assert (record.runs, record.samples, record.fitness) == (3, (), PENALTY)
+    assert len(cache) == (0 if outcome == "spawn" else 1)
+    assert len(runs) == (1 if stage == "run" else 0)
+
+    if stage == "run":
+        # a byte-identical twin reuses the failed timing, unless nothing started
+        twin = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+        assert (twin.status, twin.diagnostics) == expected
+        assert len(runs) == (2 if outcome == "spawn" else 1)
+        assert len(cache) == (0 if outcome == "spawn" else 2)
+
+
 def test_evaluate_rejects_simulated_config():
     with pytest.raises(ValueError):
         evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"))
