@@ -12,11 +12,21 @@ Timing runs for one record are strictly sequential to avoid self-contention
 skew; concurrency, if any, belongs at the compilation level and must go
 through the cache, which keeps the first record written per digest.
 
-Each distinct executable is timed once. After the build, the cache is asked
-for a record timed from a byte-identical executable (same sha256); if it
-holds one, the candidate gets a copy of it under its own sequence digest and
-no run is repeated. Many pass sequences build the same binary: a pass that
-is a no-op at its position, or one a later pass undoes, changes nothing.
+The cache works at three levels. A repeated sequence is answered by its
+digest, with no build at all. Otherwise the front end and optimizer run, and
+each distinct optimized IR is linked once: the executable bytes it linked to
+are kept in memory, so a later sequence that optimizes to the same IR gets
+them written back instead of running the linker again. Then each distinct
+executable is timed once: the cache is asked for a record timed from a
+byte-identical executable (same sha256); if it holds one, the candidate gets
+a copy of it under its own sequence digest and no run is repeated. Many pass
+sequences give the same IR, and more still the same binary: a pass that is a
+no-op at its position, or one a later pass undoes, changes nothing.
+
+The IR key ignores a leading "; ModuleID = '...'" line, because `opt -S`
+writes the path of its input there and every build has its own directory.
+A linker command that takes {passes} or {passes_csv} depends on more than
+the IR, so it always runs.
 
 Every failure of a build stage or a timed run passes through one
 EvaluationFailure, which evaluate turns into the penalty record. A tool or
@@ -127,11 +137,17 @@ class EvaluationCache:
     executable is also indexed by the executable's digest, first writer
     wins, so get_timed() can hand its timing to a candidate that builds the
     same bytes. Records are immutable once stored.
+
+    In memory only, put_linked() keeps the executable each optimized IR
+    linked to, one copy of the bytes per distinct executable, for
+    get_linked(); a resumed run links each IR once more.
     """
 
     def __init__(self, path: Path | str | None = None):
         self._records: dict[str, EvaluationRecord] = {}
         self._timed: dict[str, EvaluationRecord] = {}
+        self._exes: dict[str, bytes] = {}
+        self._linked: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
@@ -183,6 +199,17 @@ class EvaluationCache:
         """The first record timed from the executable with this digest."""
         with self._lock:
             return self._timed.get(exe_digest)
+
+    def get_linked(self, ir_digest: str) -> bytes | None:
+        """The executable bytes that the optimized IR with this digest linked to."""
+        with self._lock:
+            return self._linked.get(ir_digest)
+
+    def put_linked(self, ir_digest: str, exe: bytes) -> None:
+        """Remember what an optimized IR linked to, interning the bytes by their digest."""
+        exe_digest = hashlib.sha256(exe).hexdigest()
+        with self._lock:
+            self._linked.setdefault(ir_digest, self._exes.setdefault(exe_digest, exe))
 
     def put(self, record: EvaluationRecord, exe_digest: str | None = None) -> EvaluationRecord:
         """Store a record, and index it by `exe_digest` if it was timed from an executable."""
@@ -280,22 +307,44 @@ def _check(result: RunResult, what: str, status: EvaluationStatus) -> float:
     return result.seconds
 
 
-def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path) -> Path:
+def ir_digest(optimized_ir: bytes) -> str:
+    """Digest of an optimized IR file, leaving out a leading '; ModuleID' line."""
+    if optimized_ir.startswith(b"; ModuleID = "):
+        optimized_ir = optimized_ir[optimized_ir.find(b"\n") + 1 :]
+    return hashlib.sha256(optimized_ir).hexdigest()
+
+
+def build_executable(
+    seq: PassSequence, cfg: BackendConfig, build_dir: Path, cache: EvaluationCache | None = None
+) -> Path:
     """Run front-end, optimizer and linker; return the executable path.
 
+    With a cache, an optimized IR that has been linked before gets the
+    executable it linked to written back, and the linker does not run.
     Raises EvaluationFailure with the failing stage's captured output.
     """
     ir = build_dir / "program.ir"
     optimized = build_dir / "program.opt.ir"
     exe = build_dir / "program.bin"
-    stages = (
-        ("front-end", cfg.compiler_front_command, {"source": cfg.source_path, "ir": str(ir)}),
-        ("optimizer", cfg.optimizer_command, {"ir": str(ir), "output": str(optimized)}),
-        ("linker", cfg.linker_command, {"ir": str(optimized), "output": str(exe)}),
-    )
-    for name, template, subs in stages:
+
+    def run(name: str, template: str, subs: dict[str, str]) -> None:
         argv = expand_command(template, subs, seq.passes)
         _check(time_execution(argv, cfg.compile_timeout), name, EvaluationStatus.COMPILE_ERROR)
+
+    run("front-end", cfg.compiler_front_command, {"source": cfg.source_path, "ir": str(ir)})
+    run("optimizer", cfg.optimizer_command, {"ir": str(ir), "output": str(optimized)})
+    key = None
+    # a linker that takes {passes} or {passes_csv} depends on more than the IR
+    if cache is not None and "{passes" not in cfg.linker_command and optimized.is_file():
+        key = ir_digest(optimized.read_bytes())
+        linked = cache.get_linked(key)
+        if linked is not None:
+            exe.write_bytes(linked)
+            exe.chmod(0o755)
+            return exe
+    run("linker", cfg.linker_command, {"ir": str(optimized), "output": str(exe)})
+    if key is not None:
+        cache.put_linked(key, exe.read_bytes())
     return exe
 
 
@@ -304,9 +353,10 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
 
     Total by design: every failure mode comes back as a record, never as an
     exception. The cache short-circuits repeat evaluations by sequence
-    digest, and repeat timings of a byte-identical executable (the record
-    is copied under this sequence's digest). A record for a tool or program
-    that could not be started is returned but not cached.
+    digest, repeat links of the same optimized IR, and repeat timings of a
+    byte-identical executable (the record is copied under this sequence's
+    digest). A record for a tool or program that could not be started is
+    returned but not cached.
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError("evaluate() drives the external toolchain; use simulated_fitness for models")
@@ -320,7 +370,7 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
     exe_digest = None
     try:
         with tempfile.TemporaryDirectory(prefix="passevo-", dir=workdir) as tmp:
-            exe = build_executable(seq, cfg, Path(tmp))
+            exe = build_executable(seq, cfg, Path(tmp), cache)
             exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
             timed = cache.get_timed(exe_digest) if cache is not None else None
             if timed is not None:

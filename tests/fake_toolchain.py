@@ -5,7 +5,7 @@ linker:
 
     fake_toolchain.py front <source> <ir>
     fake_toolchain.py opt <ir> <output> [pass...]
-    fake_toolchain.py link <ir> <output>
+    fake_toolchain.py link <ir> <output> [arg...]
 
 The "source" is a directive file whose first line is one of: ok, sleep <s>,
 spin, exit1. The optimizer refuses the pass token '-broken' (nonzero exit)
@@ -13,7 +13,9 @@ and records the received pass list in the IR, leaving out every '-noop'
 token, so sequences that differ only in '-noop' link to byte-identical
 programs; the linker emits a runnable
 Python script that performs the directive and prints the pass list, so tests
-can verify the sequence flowed through the whole pipeline.
+can verify the sequence flowed through the whole pipeline. Extra linker
+arguments are printed by the program too, so a link that takes the pass
+list depends on more than the IR.
 """
 
 import os
@@ -45,7 +47,7 @@ def main() -> int:
         return 0
 
     if stage == "link":
-        ir, output = sys.argv[2], sys.argv[3]
+        ir, output, extra = sys.argv[2], sys.argv[3], sys.argv[4:]
         with open(ir) as fh:
             lines = fh.read().splitlines()
         directive = lines[0].strip() if lines else "ok"
@@ -59,6 +61,7 @@ def main() -> int:
                 "import sys, time",
                 f"directive = {directive!r}.split()",
                 f"print('passes:', {passes!r})",
+                *([f"print('link args:', {' '.join(extra)!r})"] if extra else []),
                 "if directive[0] == 'sleep':",
                 "    time.sleep(float(directive[1]))",
                 "elif directive[0] == 'spin':",

@@ -22,6 +22,7 @@ from passevo.fitness import (
     edit_distance,
     evaluate,
     expand_command,
+    ir_digest,
     perturb_sequence,
     sequence_digest,
     simulated_fitness,
@@ -29,7 +30,7 @@ from passevo.fitness import (
     time_execution,
 )
 
-from conftest import fake_backend, make_catalog
+from conftest import FAKE_TOOL, fake_backend, make_catalog
 
 
 # --- independent oracle: plain recursive edit distance -----------------------
@@ -421,11 +422,18 @@ def test_tool_spawn_failure_is_not_cached(tmp_path):
 
 def test_program_spawn_failure_is_not_cached(tmp_path, monkeypatch):
     real = fitness_mod.time_execution
+    stages, outputs = [], []
+    startable = [False]
 
     def unstartable(argv, timeout):
-        if argv[0].endswith("program.bin"):
+        is_run = argv[0].endswith("program.bin")
+        stages.append("run" if is_run else argv[2])
+        if is_run and not startable[0]:
             return RunResult(0.0, None, False, "spawn failed: [Errno 8] Exec format error")
-        return real(argv, timeout)
+        result = real(argv, timeout)
+        if is_run:
+            outputs.append(result.output)
+        return result
 
     monkeypatch.setattr(fitness_mod, "time_execution", unstartable)
     cfg = fake_backend(tmp_path)
@@ -435,11 +443,14 @@ def test_program_spawn_failure_is_not_cached(tmp_path, monkeypatch):
     assert "spawn failed" in record.diagnostics
     assert len(cache) == 0
 
-    # no executable was indexed either: a byte-identical build is timed
-    monkeypatch.setattr(fitness_mod, "time_execution", real)
+    # no executable was indexed either: a byte-identical build is timed; its
+    # IR was linked before, so it skips the linker and runs the restored file
+    startable[0] = True
     record = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
     assert record.status is EvaluationStatus.OK
     assert len(record.samples) == cfg.runs_per_eval
+    assert stages == ["front", "opt", "link", "run", "front", "opt", "run", "run"]
+    assert outputs == ["passes: -sroa\n"] * cfg.runs_per_eval
 
 
 _STAGE_NAMES = {"front": "front-end", "opt": "optimizer", "link": "linker", "run": "run"}
@@ -493,6 +504,99 @@ def test_failure_triage_table(tmp_path, monkeypatch, stage, outcome):
         assert (twin.status, twin.diagnostics) == expected
         assert len(runs) == (2 if outcome == "spawn" else 1)
         assert len(cache) == (0 if outcome == "spawn" else 2)
+
+
+# --- optimized-IR level: each distinct IR is linked once ---------------------
+
+def test_ir_digest_ignores_only_the_leading_module_id():
+    body = b'source_filename = "main.ll"\n\ndefine i32 @main() {\n  ret i32 0\n}\n'
+    key = ir_digest(b"; ModuleID = '/tmp/passevo-a/program.ir'\n" + body)
+    assert key == ir_digest(b"; ModuleID = '/tmp/passevo-b/program.ir'\n" + body)
+    assert key != ir_digest(b"; ModuleID = '/tmp/passevo-a/program.ir'\n" + body.replace(b"i32 0", b"i32 1"))
+    assert key != ir_digest(b"; ModuleID = '/tmp/passevo-a/program.ir'\n" + body + b"\n")
+    # only the first line is the one opt writes; later and other comments count
+    assert ir_digest(b"; ModuleID = 'a'\n; ModuleID = 'b'\n" + body) != ir_digest(
+        b"; ModuleID = 'a'\n; ModuleID = 'c'\n" + body)
+    assert ir_digest(b"\n; ModuleID = 'a'\n" + body) != ir_digest(b"\n; ModuleID = 'b'\n" + body)
+    assert ir_digest(b"; comment a\n" + body) != ir_digest(b"; comment b\n" + body)
+
+
+@pytest.fixture
+def tool_calls(monkeypatch):
+    """Record the argv of every process an evaluation starts: build stages and runs."""
+    calls = []
+    real = fitness_mod.time_execution
+
+    def recording(argv, timeout):
+        calls.append(argv)
+        return real(argv, timeout)
+
+    monkeypatch.setattr(fitness_mod, "time_execution", recording)
+    return calls
+
+
+def _fake_stages(calls) -> list[str]:
+    """Each recorded fake-toolchain call as front, opt, link or run."""
+    return ["run" if argv[0].endswith("program.bin") else argv[2] for argv in calls]
+
+
+def test_identical_ir_is_linked_once(tmp_path, tool_calls):
+    cfg = fake_backend(tmp_path, runs_per_eval=2)
+    cache = EvaluationCache()
+    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    second = evaluate(PassSequence(("-noop", "-sroa")), cfg, cache)
+    assert _fake_stages(tool_calls) == ["front", "opt", "link", "run", "run", "front", "opt"]
+    assert (second.status, second.mean) == (EvaluationStatus.OK, first.mean)
+
+    # another IR links; without a cache every build links
+    evaluate(PassSequence(("-sroa", "-gvn")), cfg, cache)
+    evaluate(PassSequence(("-noop", "-sroa")), cfg)
+    assert _fake_stages(tool_calls).count("link") == 3
+
+
+@pytest.mark.parametrize("placeholder", ["{passes}", "--with={passes_csv}"])
+def test_linker_taking_passes_always_links(tmp_path, tool_calls, placeholder):
+    cfg = fake_backend(
+        tmp_path, linker_command=f"{sys.executable} {FAKE_TOOL} link {{ir}} {{output}} {placeholder}")
+    cache = EvaluationCache()
+    for passes in (("-sroa",), ("-sroa", "-noop")):
+        assert evaluate(PassSequence(passes), cfg, cache).status is EvaluationStatus.OK
+    stages = _fake_stages(tool_calls)
+    assert stages.count("link") == 2
+    # the link took the -noop too, so the twin is another program and is timed
+    assert stages.count("run") == 2 * cfg.runs_per_eval
+
+
+@pytest.mark.parametrize("outcome", sorted(_OUTCOMES))
+def test_failed_link_is_never_stored(tmp_path, monkeypatch, outcome):
+    """A link that fails, even after writing its output, is run again for the same IR."""
+    real = fitness_mod.time_execution
+    links = []
+
+    def inject(argv, timeout):
+        result = real(argv, timeout)
+        if not argv[0].endswith("program.bin") and argv[2] == "link":
+            links.append(argv)
+            return _OUTCOMES[outcome]
+        return result
+
+    monkeypatch.setattr(fitness_mod, "time_execution", inject)
+    cfg = fake_backend(tmp_path)
+    cache = EvaluationCache()
+    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    twin = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    assert len(links) == 2
+    assert first.status is twin.status is (
+        EvaluationStatus.TIMEOUT if outcome == "timeout" else EvaluationStatus.COMPILE_ERROR)
+    assert first.diagnostics == twin.diagnostics
+    assert first.diagnostics.startswith("linker ")
+
+
+def test_optimizer_that_writes_no_ir_is_a_link_error(tmp_path):
+    cfg = fake_backend(tmp_path, optimizer_command=f"{sys.executable} -c pass")
+    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
+    assert record.status is EvaluationStatus.COMPILE_ERROR
+    assert record.diagnostics.startswith("linker failed (exit 1):")
 
 
 def test_evaluate_rejects_simulated_config():
@@ -651,13 +755,13 @@ def test_time_execution_on_real_compiled_binary(tmp_path):
 
 # --- real LLVM 14 toolchain without clang -------------------------------------
 
-def test_llvm14_identical_binaries_timed_once(tmp_path, program_runs):
+def test_llvm14_identical_binaries_timed_once(tmp_path, tool_calls):
     import shutil
 
     if not all(shutil.which(tool) for tool in ("opt", "llc", "gcc")):
         pytest.skip("needs opt, llc and gcc on PATH")
     source = tmp_path / "main.ll"
-    source.write_text("define i32 @main() {\nentry:\n  ret i32 0\n}\n", "utf-8")
+    source.write_text('source_filename = "main.ll"\n\ndefine i32 @main() {\n  ret i32 0\n}\n', "utf-8")
     cfg = fitness_mod.BackendConfig(
         kind="external_compiler",
         source_path=str(source),
@@ -667,12 +771,23 @@ def test_llvm14_identical_binaries_timed_once(tmp_path, program_runs):
         runs_per_eval=3,
         workdir=str(tmp_path / "build"),
     )
+
+    def links_and_runs():
+        return (sum(argv[0] == "sh" for argv in tool_calls),
+                sum(argv[0].endswith("program.bin") for argv in tool_calls))
+
     cache = EvaluationCache()
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)
     assert first.status is EvaluationStatus.OK, first.diagnostics
-    assert len(program_runs) == 3
-    # -verify changes no code, and each build runs in its own directory
+    assert links_and_runs() == (1, 3)
+    # -verify changes no code; each build has its own directory, so the
+    # optimized IR differs only in the path opt writes into '; ModuleID'
     second = evaluate(PassSequence(("-sroa", "-verify")), cfg, cache)
     assert second.status is EvaluationStatus.OK, second.diagnostics
-    assert len(program_runs) == 3
+    assert links_and_runs() == (1, 3)
     assert second.mean == first.mean
+    # -instnamer names the entry block: other IR, byte-identical executable
+    third = evaluate(PassSequence(("-instnamer",)), cfg, cache)
+    assert third.status is EvaluationStatus.OK, third.diagnostics
+    assert links_and_runs() == (2, 3)
+    assert third.mean == first.mean
