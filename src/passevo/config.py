@@ -3,7 +3,11 @@
 
 Every key maps one-to-one onto a field of ExperimentConfig, GAConfig or
 BackendConfig; unknown sections or keys are hard errors so a typo cannot
-silently fall back to a default. write_config renders the effective
+silently fall back to a default. The field's annotation picks how a value
+reads: `int` and `float` as numbers, `tuple[int, ...]` as integers split on
+commas or spaces, `tuple[str, ...]` split shell-style, anything else as the
+raw string. Range and consistency checks live in the dataclasses, so a
+config built in code gets them too. write_config renders the effective
 configuration back out in the same format for provenance.
 """
 
@@ -19,39 +23,28 @@ from .evolution import GAConfig
 from .experiment import ExperimentConfig
 from .fitness import KIND_EXTERNAL, BackendConfig
 
+# [experiment] holds the other two sections as fields; they are not keys.
+_SECTIONS = {"experiment": ExperimentConfig, "ga": GAConfig, "backend": BackendConfig}
 
-def _convert(section: str, key: str, raw: str, target_type):
-    try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
-
-
-_TYPE_NAMES = {"int": int, "float": float, "str": str}
+_CONVERTERS = {
+    "int": int,
+    "float": float,
+    "tuple[int, ...]": lambda raw: tuple(int(s) for s in raw.replace(",", " ").split()),
+    "tuple[str, ...]": lambda raw: tuple(shlex.split(raw)),
+}
 
 
-def _field_type(dataclass_type, name: str):
-    for f in fields(dataclass_type):
-        if f.name == name:
-            return _TYPE_NAMES.get(f.type, str)
-    return None
-
-
-def _section_kwargs(parser, section: str, dataclass_type, skip: set[str] = frozenset()):
+def _section_kwargs(parser, section: str) -> dict:
+    types = {f.name: f.type for f in fields(_SECTIONS[section]) if f.name not in _SECTIONS}
     kwargs = {}
-    if not parser.has_section(section):
-        return kwargs
-    for key, raw in parser.items(section):
-        if key in skip:
-            continue
-        ftype = _field_type(dataclass_type, key)
-        if ftype is None:
+    for key, raw in parser.items(section) if parser.has_section(section) else ():
+        if key not in types:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        kwargs[key] = _convert(section, key, raw, ftype)
+        convert = _CONVERTERS.get(types[key].removesuffix(" | None"), str)
+        try:
+            kwargs[key] = convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
     return kwargs
 
 
@@ -63,7 +56,7 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
         raise ConfigError(f"config parse error: {exc}") from exc
 
     for section in parser.sections():
-        if section not in ("experiment", "ga", "backend"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
     if overrides:
@@ -75,32 +68,17 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
                 parser.add_section(section)
             parser.set(section, key, value)
 
-    ga_kwargs = _section_kwargs(parser, "ga", GAConfig)
-    backend_kwargs = _section_kwargs(parser, "backend", BackendConfig, skip={"program_args"})
-    exp_kwargs = _section_kwargs(parser, "experiment", ExperimentConfig, skip={"seeds", "ga", "backend"})
-
-    if parser.has_option("backend", "program_args"):
-        backend_kwargs["program_args"] = tuple(shlex.split(parser.get("backend", "program_args")))
-    if parser.has_option("experiment", "seeds"):
-        raw = parser.get("experiment", "seeds").replace(",", " ").split()
-        try:
-            exp_kwargs["seeds"] = tuple(int(s) for s in raw)
-        except ValueError as exc:
-            raise ConfigError(f"[experiment] seeds: {exc}") from exc
-
     try:
-        ga = GAConfig(**ga_kwargs)
-        backend = BackendConfig(**backend_kwargs)
-        cfg = ExperimentConfig(ga=ga, backend=backend, **exp_kwargs)
+        cfg = ExperimentConfig(
+            ga=GAConfig(**_section_kwargs(parser, "ga")),
+            backend=BackendConfig(**_section_kwargs(parser, "backend")),
+            **_section_kwargs(parser, "experiment"),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if cfg.backend.kind == KIND_EXTERNAL:
-        for key in ("source_path", "compiler_front_command", "optimizer_command", "linker_command"):
-            if not getattr(cfg.backend, key):
-                raise ConfigError(f"[backend] {key} is required when kind = {KIND_EXTERNAL}")
-        if not Path(cfg.backend.source_path).is_file():
-            raise ConfigError(f"source file not found: {cfg.backend.source_path}")
+    if cfg.backend.kind == KIND_EXTERNAL and not Path(cfg.backend.source_path).is_file():
+        raise ConfigError(f"source file not found: {cfg.backend.source_path}")
     return cfg
 
 
@@ -118,24 +96,14 @@ def _render_value(value) -> str:
 
 
 def write_config(cfg: ExperimentConfig, path: Path) -> None:
-    """Echo the effective configuration as a loadable INI file."""
-    lines = ["[experiment]"]
-    for f in fields(ExperimentConfig):
-        if f.name in ("ga", "backend"):
-            continue
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {_render_value(value)}")
-    lines.append("")
-    lines.append("[ga]")
-    for f in fields(GAConfig):
-        lines.append(f"{f.name} = {_render_value(getattr(cfg.ga, f.name))}")
-    lines.append("")
-    lines.append("[backend]")
-    for f in fields(BackendConfig):
-        value = getattr(cfg.backend, f.name)
-        if value == "" and f.name != "kind":
-            continue
-        lines.append(f"{f.name} = {_render_value(value)}")
-    path.write_text("\n".join(lines) + "\n", "utf-8")
+    """Echo the effective configuration as a loadable INI file, leaving out
+    the unset values: None in [experiment], an empty string in [backend]."""
+    blocks = []
+    for section, obj, unset in (("experiment", cfg, None), ("ga", cfg.ga, None), ("backend", cfg.backend, "")):
+        lines = [f"[{section}]"]
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if f.name not in _SECTIONS and value != unset:
+                lines.append(f"{f.name} = {_render_value(value)}")
+        blocks.append("\n".join(lines))
+    path.write_text("\n\n".join(blocks) + "\n", "utf-8")

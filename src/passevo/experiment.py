@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -128,11 +128,8 @@ def build_record_fn(
 
     Only the external backend persists its records, at `cache_path`."""
     if backend.kind == KIND_SIMULATED:
-        if backend.sim_target_path:
-            target = resolve_sequence(backend.sim_target_path, catalog)
-        else:
-            rng = random.Random(backend.sim_target_seed)
-            target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
+        rng = random.Random(backend.sim_target_seed)
+        target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
         model = SimModel(target=target, base_runtime=backend.sim_base_runtime)
         memo: dict[str, EvaluationRecord] = {}
 
@@ -280,16 +277,5 @@ def _write_summary(path: Path, results: list[TrialResult], summary: SummaryStats
         else:
             row.update(status="failed", error=r.error)
         trials.append(row)
-    doc = {
-        "trials": trials,
-        "summary": None
-        if summary is None
-        else {
-            "n": summary.n,
-            "mean_improvement": summary.mean_improvement,
-            "sample_stddev": summary.sample_stddev,
-            "t_statistic": summary.t_statistic,
-            "p_value_one_tailed": summary.p_value_one_tailed,
-        },
-    }
+    doc = {"trials": trials, "summary": None if summary is None else asdict(summary)}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")

@@ -72,7 +72,8 @@ class EvaluationStatus(enum.Enum):
 @dataclass(frozen=True)
 class BackendConfig:
     """Everything an evaluation needs; command templates use the placeholders
-    {source}, {ir}, {passes}, {passes_csv} and {output}."""
+    {source}, {ir}, {passes}, {passes_csv} and {output}. The external_compiler
+    kind needs source_path and all three command templates."""
 
     kind: str = KIND_SIMULATED
     source_path: str = ""
@@ -85,13 +86,16 @@ class BackendConfig:
     program_args: tuple[str, ...] = ()
     workdir: str = ""
     sim_base_runtime: float = 1.0
-    sim_target_path: str = ""
     sim_target_edits: int = 2
     sim_target_seed: int = 0
 
     def __post_init__(self):
         if self.kind not in (KIND_EXTERNAL, KIND_SIMULATED):
             raise ValueError(f"unknown backend kind {self.kind!r}")
+        if self.kind == KIND_EXTERNAL:
+            for key in ("source_path", "compiler_front_command", "optimizer_command", "linker_command"):
+                if not getattr(self, key):
+                    raise ValueError(f"{key} is required when kind = {KIND_EXTERNAL}")
         if self.runs_per_eval < 1:
             raise ValueError("runs_per_eval must be >= 1")
         if self.run_timeout <= 0 or self.compile_timeout <= 0:
@@ -343,6 +347,8 @@ def build_executable(
             exe.chmod(0o755)
             return exe
     run("linker", cfg.linker_command, {"ir": str(optimized), "output": str(exe)})
+    if not exe.is_file():
+        raise EvaluationFailure(EvaluationStatus.COMPILE_ERROR, f"linker exited 0 but wrote no {exe.name}")
     if key is not None:
         cache.put_linked(key, exe.read_bytes())
     return exe

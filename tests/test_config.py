@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from passevo.config import ConfigError, load_config, parse_config_text, write_config
+from passevo.fitness import BackendConfig
 
 from conftest import write_test_inputs
 
@@ -47,6 +50,10 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text(with_experiment_key("remeasure_baseline_per_trial = false"))
     assert "remeasure_baseline_per_trial" in str(err.value)
+    # the [ga] and [backend] sections are not keys of [experiment]
+    for key in ("ga", "backend"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section \\[experiment\\]"):
+            parse_config_text(with_experiment_key(f"{key} = x"))
 
 
 def test_bad_type_rejected():
@@ -97,6 +104,8 @@ def external_config_text(tmp_path) -> str:
 def test_program_args_split_shell_style(tmp_path):
     cfg = parse_config_text(external_config_text(tmp_path))
     assert cfg.backend.program_args == ("--size", "10", "two words")
+    with pytest.raises(ConfigError, match=r"^\[backend\] program_args: No closing quotation"):
+        parse_config_text(external_config_text(tmp_path).replace('"two words"', '"unclosed'))
 
 
 def test_external_kind_requires_commands_and_source(tmp_path):
@@ -116,6 +125,12 @@ def test_external_kind_requires_commands_and_source(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config_text(missing)
     assert "/nonexistent/prog.c" in str(err.value)
+
+    # a config built in code gets the same check
+    commands = dict(source_path="p.c", compiler_front_command="a", optimizer_command="b", linker_command="c")
+    for key in commands:
+        with pytest.raises(ValueError, match=f"^{key} is required"):
+            BackendConfig(kind="external_compiler", **dict(commands, **{key: ""}))
 
 
 def test_overrides_beat_file_values():
@@ -155,3 +170,16 @@ def test_write_config_round_trips(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/experiment.ini")
+
+
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(REPO.glob("configs/*.ini")) + sorted(REPO.glob("perfbench/*/*.ini"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(REPO)))
+def test_shipped_config_loads_and_round_trips(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(REPO)
+    cfg = load_config(path)
+    echo = tmp_path / "echo.ini"
+    write_config(cfg, echo)
+    assert load_config(echo) == cfg

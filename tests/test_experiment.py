@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from passevo.experiment import (
     resolve_catalog,
     run_trials,
 )
-from passevo.fitness import BackendConfig
+from passevo.fitness import BackendConfig, perturb_sequence
 
 from conftest import fake_backend, make_catalog, make_sequence, write_test_inputs
 
@@ -106,22 +107,20 @@ def test_measure_baseline_simulated_zero_distance(tmp_path):
 
 def test_measure_baseline_one_edit_quarter_penalty(tmp_path):
     catalog = make_catalog(8)
-    target = make_sequence(catalog, [0, 1, 2, 3])
     baseline = make_sequence(catalog, [0, 1, 2])
     (tmp_path / "catalog.txt").write_text(serialize_catalog(catalog))
     (tmp_path / "baseline.txt").write_text(serialize_sequence(baseline))
-    (tmp_path / "target.txt").write_text(serialize_sequence(target))
     cfg = ExperimentConfig(
         catalog_path=str(tmp_path / "catalog.txt"),
         baseline_path=str(tmp_path / "baseline.txt"),
-        backend=BackendConfig(
-            kind="simulated", sim_base_runtime=1.0, sim_target_path=str(tmp_path / "target.txt")
-        ),
+        backend=BackendConfig(kind="simulated", sim_base_runtime=1.0, sim_target_edits=1),
         trials=1,
         output_dir=str(tmp_path / "out"),
     )
+    # the baseline is one edit from the target; each edit adds 1/len(target) of the base runtime
+    target = perturb_sequence(baseline, catalog, 1, random.Random(0))
     record = measure_baseline(cfg)
-    assert record.mean == pytest.approx(1.25, abs=1e-12)
+    assert record.mean == pytest.approx(1 + 1 / len(target), abs=1e-12)
 
 
 def test_measure_baseline_broken_external_is_fatal(tmp_path):

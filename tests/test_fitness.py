@@ -599,6 +599,17 @@ def test_optimizer_that_writes_no_ir_is_a_link_error(tmp_path):
     assert record.diagnostics.startswith("linker failed (exit 1):")
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path, cached):
+    cfg = fake_backend(tmp_path, linker_command=f"{sys.executable} -c pass")
+    cache = EvaluationCache() if cached else None
+    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    assert record.status is EvaluationStatus.COMPILE_ERROR
+    assert record.diagnostics == "linker exited 0 but wrote no program.bin"
+    if cached:
+        assert cache.get(record.sequence_digest) == record
+
+
 def test_evaluate_rejects_simulated_config():
     with pytest.raises(ValueError):
         evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"))
