@@ -55,6 +55,9 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    # configparser keeps [DEFAULT] out of sections() and copies its keys into every section
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .catalog import PassCatalog, PassSequence
-from .patches import Individual, Patch, PatchType, apply_individual
+from .patches import Individual, Patch, PatchType, _trusted_patch, apply_individual
 
 POSITION_JITTER_SCALE = 0.1
 
@@ -86,7 +86,7 @@ def random_patch(catalog: PassCatalog, rng: random.Random) -> Patch:
     ptype = rng.choice((PatchType.INSERTION, PatchType.DELETION, PatchType.REPLACEMENT))
     position = rng.random()
     value = rng.choice(catalog.passes) if ptype is not PatchType.DELETION else None
-    return Patch(ptype, position, value)
+    return _trusted_patch(ptype, position, value)
 
 
 def init_population(cfg: GAConfig, catalog: PassCatalog, rng: random.Random) -> list[Individual]:
@@ -128,19 +128,20 @@ def _clamp01(x: float) -> float:
 
 
 def _edit_gene(gene: Patch, catalog: PassCatalog, rng: random.Random) -> Patch:
+    """Retype, move or revalue one gene; every part comes from `gene`, the catalog or _clamp01."""
     kind = rng.randrange(3)
     if kind == 0:
         new_type = rng.choice((PatchType.INSERTION, PatchType.DELETION, PatchType.REPLACEMENT))
         if new_type is PatchType.DELETION:
-            return Patch(new_type, gene.position, None)
+            return _trusted_patch(new_type, gene.position, None)
         value = gene.value if gene.value is not None else rng.choice(catalog.passes)
-        return Patch(new_type, gene.position, value)
+        return _trusted_patch(new_type, gene.position, value)
     if kind == 1:
         position = _clamp01(gene.position + rng.gauss(0.0, POSITION_JITTER_SCALE))
-        return Patch(gene.ptype, position, gene.value)
+        return _trusted_patch(gene.ptype, position, gene.value)
     if gene.value is None:
         return gene
-    return Patch(gene.ptype, gene.position, rng.choice(catalog.passes))
+    return _trusted_patch(gene.ptype, gene.position, rng.choice(catalog.passes))
 
 
 def mutate(ind: Individual, catalog: PassCatalog, cfg: GAConfig, rng: random.Random) -> Individual:

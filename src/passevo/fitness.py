@@ -48,7 +48,7 @@ import tempfile
 import threading
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .catalog import PassCatalog, PassSequence
@@ -410,7 +410,15 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
     return cache.put(record, exe_digest) if cache is not None else record
 
 
-def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+def masks_of(a: tuple[str, ...]) -> dict[str, int]:
+    """Myers' match masks of `a`: bit i of masks[x] is set where a[i] == x."""
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << i)
+    return masks
+
+
+def edit_distance(a: tuple[str, ...], b: tuple[str, ...], masks: dict[str, int] | None = None) -> int:
     """Element-level Levenshtein distance (insert/delete/substitute).
 
     Exact for any lengths: trim, then bit-parallel. The common prefix and
@@ -419,6 +427,13 @@ def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     big-integer step per element of `b` (G. Myers, "A fast bit-vector
     algorithm for approximate string matching based on dynamic
     programming", JACM 1999).
+
+    `masks` must be masks_of(a) for the whole untrimmed `a`; a caller that
+    measures many sequences against one `a` passes them in to build them
+    once. They are shifted down past the trimmed prefix. Bits left above
+    the rows of the trimmed suffix are harmless: a match mask reaches the
+    column state only through `& pv`, `& mask` or `ph & xv`, all of which
+    are zero there.
     """
     lo, hi_a, hi_b = 0, len(a), len(b)
     while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
@@ -430,16 +445,15 @@ def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     if m == 0 or hi_b == lo:
         return m + hi_b - lo
 
-    # peq[x]: bit i set where a[lo + i] == x. Column state: pv/mv mark the
-    # rows whose vertical delta D[i][j] - D[i-1][j] is +1/-1.
-    peq: dict[str, int] = {}
-    for i, x in enumerate(a[lo:hi_a]):
-        peq[x] = peq.get(x, 0) | (1 << i)
+    # masks[x] >> lo: bit i set where a[lo + i] == x. Column state: pv/mv
+    # mark the rows whose vertical delta D[i][j] - D[i-1][j] is +1/-1.
+    if masks is None:
+        masks = masks_of(a)
     mask = (1 << m) - 1
     top = 1 << (m - 1)
     pv, mv, score = mask, 0, m
     for y in b[lo:hi_b]:
-        eq = peq.get(y, 0)
+        eq = masks.get(y, 0) >> lo
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (~(xh | pv) & mask)
@@ -458,18 +472,25 @@ def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
 
 @dataclass(frozen=True)
 class SimModel:
-    """Hidden-target landscape: fitness grows with distance from the target."""
+    """Hidden-target landscape: fitness grows with distance from the target.
+
+    The target's match masks are built once, here, for every edit_distance
+    call that measures a candidate against it.
+    """
 
     target: PassSequence
     base_runtime: float
+    masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base_runtime <= 0:
             raise ValueError("base_runtime must be > 0")
+        object.__setattr__(self, "masks", masks_of(self.target.passes))
 
 
 def simulated_fitness(seq: PassSequence, model: SimModel) -> float:
-    distance = edit_distance(seq.passes, model.target.passes)
+    # The distance is symmetric, so the target takes the row side and its masks.
+    distance = edit_distance(model.target.passes, seq.passes, model.masks)
     return model.base_runtime * (1.0 + distance / max(len(model.target), 1))
 
 

@@ -91,30 +91,49 @@ def resolve_index(position: float, length: int, slot_mode: str) -> int | None:
     raise ValueError(f"unknown slot_mode {slot_mode!r}")
 
 
-def apply_patch(seq: PassSequence, patch: Patch) -> PassSequence:
-    """Apply one patch, returning a new sequence; the input is never mutated.
+def _trusted_patch(ptype: PatchType, position: float, value: str | None) -> Patch:
+    """Build a Patch from parts that were all validated already.
 
-    Every token of the result comes from `seq` or from `patch.value`, both
-    validated when they were built, so the result skips re-validation.
+    For inner loops only: it skips __post_init__, so the position must lie in
+    [0, 1] and the value must come from a catalog or an existing Patch, and
+    be None exactly for a deletion.
     """
-    passes = seq.passes
-    if patch.ptype is PatchType.INSERTION:
-        i = resolve_index(patch.position, len(passes), "gap")
-        return _trusted_sequence(passes[:i] + (patch.value,) + passes[i:], seq.label)
-    i = resolve_index(patch.position, len(passes), "element")
-    if i is None:
-        return seq
-    if patch.ptype is PatchType.DELETION:
-        return _trusted_sequence(passes[:i] + passes[i + 1 :], seq.label)
-    return _trusted_sequence(passes[:i] + (patch.value,) + passes[i + 1 :], seq.label)
+    patch = object.__new__(Patch)
+    object.__setattr__(patch, "ptype", ptype)
+    object.__setattr__(patch, "position", position)
+    object.__setattr__(patch, "value", value)
+    return patch
+
+
+def apply_patch(seq: PassSequence, patch: Patch) -> PassSequence:
+    """Apply one patch, returning a new sequence; the input is never mutated."""
+    return apply_individual(seq, Individual((patch,)))
 
 
 def apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:
-    """Fold the genome's patches over the baseline, left to right."""
-    seq = baseline
+    """Fold the genome's patches over the baseline, left to right.
+
+    The whole genome edits one list in place, each position resolved against
+    the list as the patches before it left it; the input is never mutated.
+    Every token of the result comes from `baseline` or from a patch value,
+    both validated when they were built, so the one sequence built at the
+    end skips re-validation. The empty genome returns `baseline` itself.
+    """
+    if not ind.patches:
+        return baseline
+    passes = list(baseline.passes)
     for patch in ind.patches:
-        seq = apply_patch(seq, patch)
-    return seq
+        if patch.ptype is PatchType.INSERTION:
+            passes.insert(resolve_index(patch.position, len(passes), "gap"), patch.value)
+            continue
+        i = resolve_index(patch.position, len(passes), "element")
+        if i is None:
+            continue
+        if patch.ptype is PatchType.DELETION:
+            del passes[i]
+        else:
+            passes[i] = patch.value
+    return _trusted_sequence(tuple(passes), baseline.label)
 
 
 def _format_position(position: float) -> str:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from passevo.cli import main
 from passevo.config import ConfigError, load_config, parse_config_text, write_config
 from passevo.fitness import BackendConfig
 
@@ -40,6 +41,25 @@ def test_unknown_section_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL + "\n[extras]\nx = 1\n")
     assert "extras" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\ntrials = 2\n",
+    "[DEFAULT]\ntrials = 2\n[experiment]\n",
+    "[DEFAULT]\ntrials = 2\n[experiment]\n[ga]\n",
+])
+def test_default_section_with_keys_rejected(text):
+    # configparser hides [DEFAULT] from sections() and copies its keys into
+    # every section, so it would otherwise be ignored or misread silently
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        parse_config_text(text)
+
+
+def test_default_section_exits_two(tmp_path, capsys):
+    config = tmp_path / "default.ini"
+    config.write_text("[DEFAULT]\ntrials = 2\n")
+    assert main(["evolve", "--config", str(config)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
 
 
 def test_unknown_key_rejected():

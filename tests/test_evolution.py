@@ -13,7 +13,14 @@ from passevo.evolution import (
     tournament_select,
 )
 from passevo.fitness import SimModel, perturb_sequence, simulated_fitness
-from passevo.patches import Individual, Patch, PatchType, apply_individual
+from passevo.patches import (
+    Individual,
+    Patch,
+    PatchType,
+    apply_individual,
+    parse_individual,
+    serialize_individual,
+)
 
 from conftest import make_catalog, make_sequence
 
@@ -279,3 +286,23 @@ def test_evolve_genomes_bounded_every_generation():
         assert len(record.best_individual) <= cfg.max_genome_len
         for patch in record.best_individual:
             check_patch_valid(patch, catalog)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ga_built_genes_pass_the_public_checks(seed):
+    # random_patch and _edit_gene skip Patch validation; every gene they build
+    # must still be one the public constructor and the parser accept
+    catalog, baseline, model = hidden_target_setup()
+    cfg = GAConfig(population_size=12, generations=15, mutation_rate=1.0,
+                   per_gene_mutation_rate=1.0, rng_seed=seed)
+    _, history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    genes = 0
+    for record in history:
+        ind = record.best_individual
+        for gene in ind:
+            assert type(gene) is Patch
+            assert Patch(gene.ptype, gene.position, gene.value) == gene
+            check_patch_valid(gene, catalog)
+            genes += 1
+        assert parse_individual(serialize_individual(ind), catalog) == ind
+    assert genes > 0

@@ -23,6 +23,7 @@ from passevo.fitness import (
     evaluate,
     expand_command,
     ir_digest,
+    masks_of,
     perturb_sequence,
     sequence_digest,
     simulated_fitness,
@@ -123,6 +124,33 @@ def test_edit_distance_crosses_word_boundaries():
         assert edit_distance(b, a) == expected
 
 
+@st.composite
+def trimmed_pairs(draw):
+    """Two sequences over a 1-2 symbol alphabet that share a prefix and a
+    suffix around independent cores, either of which may be empty."""
+    alphabet = "ab"[: draw(st.integers(1, 2))]
+    tokens = st.lists(st.sampled_from(alphabet), max_size=70)
+    prefix, suffix = draw(tokens), draw(tokens)
+    core_a, core_b = draw(tokens), draw(tokens)
+    return tuple(prefix + core_a + suffix), tuple(prefix + core_b + suffix)
+
+
+@given(st.one_of(trimmed_pairs(), token_pairs(), edited_pairs()))
+def test_edit_distance_with_untrimmed_masks_matches_oracle(pair):
+    # the masks cover all of `a`; the prefix trim shifts them and the rows of
+    # the trimmed suffix stay set above the core
+    a, b = pair
+    expected = matrix_edit_distance(a, b)
+    assert edit_distance(a, b, masks_of(a)) == edit_distance(a, b) == expected
+
+
+def test_edit_distance_with_masks_edge_cases():
+    for a, b in [((), ()), ((), ("a",)), (("a",), ()), (("a", "a"), ("a",)),
+                 (("a", "b", "a"), ("a", "a")), (("b", "a", "b"), ("b", "b", "b"))]:
+        assert edit_distance(a, b, masks_of(a)) == matrix_edit_distance(a, b)
+    assert masks_of(("a", "b", "a")) == {"a": 0b101, "b": 0b010}
+
+
 def test_edit_distance_examples():
     assert edit_distance(("a", "b", "c"), ("a", "b", "c")) == 0
     assert edit_distance(("a", "b"), ("a", "b", "c")) == 1
@@ -155,6 +183,29 @@ def test_simulated_target_is_unique_global_minimum():
                 assert value == best
             else:
                 assert value > best
+
+
+@given(st.integers(0, 2**32), st.integers(0, 5), st.integers(0, 5), st.integers(3, 12))
+def test_simulated_fitness_unchanged_on_perturbed_candidates(seed, target_edits, edits, size):
+    # the model measures from the target's side with its prebuilt masks; the
+    # score must be what the candidate-side distance gives
+    rng = random.Random(seed)
+    catalog = make_catalog(size)
+    baseline = PassSequence(tuple(rng.choice(catalog.passes) for _ in range(rng.randint(0, 20))))
+    target = perturb_sequence(baseline, catalog, target_edits, rng)
+    model = SimModel(target=target, base_runtime=1.5)
+    candidate = perturb_sequence(target, catalog, edits, rng)
+    distance = matrix_edit_distance(candidate.passes, target.passes)
+    assert distance == edit_distance(candidate.passes, target.passes) == edits
+    assert simulated_fitness(candidate, model) == 1.5 * (1.0 + distance / max(len(target), 1))
+
+
+def test_sim_model_masks_stay_out_of_equality_and_repr():
+    target = PassSequence(("a", "b", "a"))
+    model = SimModel(target, 1.0)
+    assert model.masks == masks_of(target.passes)
+    assert model == SimModel(target, 1.0) and hash(model) == hash(SimModel(target, 1.0))
+    assert "masks" not in repr(model)
 
 
 def test_penalty_orders_above_any_measurement():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from passevo.catalog import PassSequence, UnknownPassError
+from passevo.catalog import PassSequence, UnknownPassError, _trusted_sequence
 from passevo.patches import (
     Individual,
     MalformedPatchLineError,
@@ -213,6 +213,67 @@ def test_length_algebra_and_closure_on_corpus():
         if apply_individual(baseline, ind).passes != current.passes:
             violations += 1
     assert violations == 0
+
+
+# --- the one-list fold against a one-patch-at-a-time tuple-slicing fold -----
+
+def slicing_apply_patch(seq: PassSequence, patch: Patch) -> PassSequence:
+    """The earlier apply_patch body: each patch slices a new tuple."""
+    passes = seq.passes
+    if patch.ptype is PatchType.INSERTION:
+        i = resolve_index(patch.position, len(passes), "gap")
+        return _trusted_sequence(passes[:i] + (patch.value,) + passes[i:], seq.label)
+    i = resolve_index(patch.position, len(passes), "element")
+    if i is None:
+        return seq
+    if patch.ptype is PatchType.DELETION:
+        return _trusted_sequence(passes[:i] + passes[i + 1 :], seq.label)
+    return _trusted_sequence(passes[:i] + (patch.value,) + passes[i + 1 :], seq.label)
+
+
+def slicing_apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:
+    seq = baseline
+    for patch in ind.patches:
+        seq = slicing_apply_patch(seq, patch)
+    return seq
+
+
+FOLD_NAMES = ("a", "b", "c")
+fold_patches = st.builds(
+    lambda ptype, position, value: Patch(ptype, position, None if ptype is PatchType.DELETION else value),
+    st.sampled_from(list(PatchType)),
+    st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0, 1, allow_nan=False)),
+    st.sampled_from(FOLD_NAMES),
+)
+
+
+@given(
+    st.lists(st.sampled_from(FOLD_NAMES), max_size=8),
+    st.lists(fold_patches, max_size=10),
+)
+def test_fold_matches_patch_by_patch_slicing(baseline, patches):
+    # empty baselines make deletes and replaces no-ops until an insert lands
+    base = PassSequence(tuple(baseline), label="base")
+    ind = Individual(tuple(patches))
+    out = apply_individual(base, ind)
+    assert out == slicing_apply_individual(base, ind)
+    assert out.label == "base"
+    assert base.passes == tuple(baseline)
+    for patch in patches:
+        assert apply_patch(base, patch) == apply_individual(base, Individual((patch,)))
+        assert apply_patch(base, patch) == slicing_apply_patch(base, patch)
+
+
+def test_empty_genome_returns_the_baseline_object():
+    for baseline in (seq(), seq("a", "b")):
+        assert apply_individual(baseline, Individual()) is baseline
+
+
+def test_fold_no_ops_on_empty_keep_the_label():
+    empty = PassSequence((), label="base")
+    ind = Individual((Patch(PatchType.DELETION, 1.0), Patch(PatchType.REPLACEMENT, 0.0, "x")))
+    out = apply_individual(empty, ind)
+    assert out == empty and out.label == "base"
 
 
 def test_apply_individual_deterministic():
