@@ -17,7 +17,7 @@ from .catalog import (
     serialize_sequence,
 )
 from .errors import ExecutionError, PassEvoError, ValidationError
-from .evolution import GAConfig, EvolutionHistory, GenerationRecord, evolve
+from .evolution import GAConfig, GenerationRecord, evolve
 from .experiment import ExperimentConfig, TrialResult, measure_baseline, run_trials
 from .fitness import (
     PENALTY,

@@ -22,7 +22,7 @@ from .errors import ConfigError, ExecutionError, ValidationError
 from .experiment import measure_baseline, resolve_catalog, resolve_sequence, run_trials
 from .fitness import KIND_SIMULATED
 from .patches import apply_individual, parse_individual
-from .stats import summarize
+from .stats import DegenerateSampleError, summarize
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -190,6 +190,10 @@ def _read_improvements(path_str: str) -> list[float]:
 def cmd_stats(args: argparse.Namespace) -> int:
     improvements = _read_improvements(args.input)
     summary = summarize(improvements)
+    if summary.t_statistic is None:
+        raise DegenerateSampleError(
+            f"a t test needs at least 2 improvement values with spread, got {summary.n}"
+        )
     print(f"n = {summary.n}")
     print(f"mean improvement = {_fmt(summary.mean_improvement)}%")
     print(f"sample stddev = {_fmt(summary.sample_stddev)}")

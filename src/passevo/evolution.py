@@ -11,7 +11,7 @@ rates and sizes live in GAConfig and none of the defaults is canonical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import PassCatalog, PassSequence
@@ -59,22 +59,6 @@ class GenerationRecord:
     best_fitness: float
     mean_fitness: float
     best_individual: Individual
-
-
-@dataclass
-class EvolutionHistory:
-    """One record per completed generation, in order."""
-
-    records: list[GenerationRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def best_fitness(self) -> float:
-        return min(r.best_fitness for r in self.records)
 
 
 FitnessFn = Callable[[PassSequence], float]
@@ -168,15 +152,16 @@ def evolve(
     catalog: PassCatalog,
     fitness_fn: FitnessFn,
     progress: ProgressFn | None = None,
-) -> tuple[Individual, EvolutionHistory]:
-    """Run the generational loop; returns the best-ever individual and history.
+) -> tuple[Individual, list[GenerationRecord]]:
+    """Run the generational loop; returns the best-ever individual and one
+    record per generation, in order.
 
     fitness_fn must be total: failed evaluations come back as a penalty value,
     never as an exception, so one broken candidate cannot abort the run.
     """
     rng = random.Random(cfg.rng_seed)
     population = init_population(cfg, catalog, rng)
-    history = EvolutionHistory()
+    history: list[GenerationRecord] = []
     best_ind: Individual | None = None
     best_fit = float("inf")
 
@@ -191,7 +176,7 @@ def evolve(
             mean_fitness=sum(fitnesses) / len(fitnesses),
             best_individual=population[gen_best],
         )
-        history.records.append(record)
+        history.append(record)
         if progress is not None:
             progress(record)
         if generation == cfg.generations - 1:

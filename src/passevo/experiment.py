@@ -29,7 +29,7 @@ from .catalog import (
     serialize_sequence,
 )
 from .errors import ConfigError, ExecutionError
-from .evolution import GAConfig, EvolutionHistory, GenerationRecord, evolve
+from .evolution import GAConfig, GenerationRecord, evolve
 from .fitness import (
     KIND_SIMULATED,
     BackendConfig,
@@ -43,7 +43,7 @@ from .fitness import (
     simulated_record,
 )
 from .patches import Individual, apply_individual, serialize_individual
-from .stats import SummaryStats, percent_improvement, summarize, DegenerateSampleError
+from .stats import SummaryStats, percent_improvement, summarize
 
 BUILTIN_CATALOG = "builtin:catalog"
 BUILTIN_BASELINE = "builtin:baseline"
@@ -89,7 +89,7 @@ class TrialResult:
     percent_improvement: float
     best_individual: Individual
     best_sequence: PassSequence
-    history: EvolutionHistory
+    history: list[GenerationRecord]
     error: str | None = None
 
     @property
@@ -172,8 +172,8 @@ def run_trials(
     """Run every trial, write all artifacts under cfg.output_dir.
 
     A trial that errors out is recorded with its message and skipped by the
-    summary; the summary covers however many trials completed (None if the
-    completed improvements are too few or too flat for a t test).
+    summary; the summary covers however many trials completed (None if
+    none did; see summarize for too few or too flat improvements).
     """
     from .config import write_config
 
@@ -198,7 +198,7 @@ def run_trials(
         try:
             ga = replace(cfg.ga, rng_seed=seed)
             best_ind, history = evolve(ga, baseline, catalog, fitness_fn, trial_progress)
-            best_fitness = history.best_fitness()
+            best_fitness = min(r.best_fitness for r in history)
             if not math.isfinite(best_fitness):
                 raise ExecutionError("no candidate produced a finite fitness")
             result = TrialResult(
@@ -221,29 +221,18 @@ def run_trials(
                 percent_improvement=float("nan"),
                 best_individual=Individual(),
                 best_sequence=baseline,
-                history=EvolutionHistory(),
+                history=[],
                 error=str(exc),
             )
         results.append(result)
 
-    summary = None
     improvements = [r.percent_improvement for r in results if r.ok]
-    if improvements:
-        try:
-            summary = summarize(improvements)
-        except DegenerateSampleError:
-            summary = SummaryStats(
-                n=len(improvements),
-                mean_improvement=sum(improvements) / len(improvements),
-                sample_stddev=None,
-                t_statistic=None,
-                p_value_one_tailed=None,
-            )
+    summary = summarize(improvements) if improvements else None
     _write_summary(out_root / "summary.json", results, summary)
     return results, summary
 
 
-def write_history_csv(history: EvolutionHistory, path: Path) -> None:
+def write_history_csv(history: list[GenerationRecord], path: Path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", "best_fitness", "mean_fitness"])

@@ -362,12 +362,14 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
     digest, repeat links of the same optimized IR, and repeat timings of a
     byte-identical executable (the record is copied under this sequence's
     digest). A record for a tool or program that could not be started is
-    returned but not cached.
+    returned but not cached. Without a cache, a fresh one serves this call.
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError("evaluate() drives the external toolchain; use simulated_fitness for models")
+    if cache is None:
+        cache = EvaluationCache()
     digest = sequence_digest(seq)
-    hit = cache.get(digest) if cache is not None else None
+    hit = cache.get(digest)
     if hit is not None:
         return hit
     workdir = cfg.workdir or None
@@ -378,7 +380,7 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
         with tempfile.TemporaryDirectory(prefix="passevo-", dir=workdir) as tmp:
             exe = build_executable(seq, cfg, Path(tmp), cache)
             exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
-            timed = cache.get_timed(exe_digest) if cache is not None else None
+            timed = cache.get_timed(exe_digest)
             if timed is not None:
                 record = replace(timed, sequence_digest=digest)
             else:
@@ -407,7 +409,7 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
         )
         if not fail.cacheable:
             return record
-    return cache.put(record, exe_digest) if cache is not None else record
+    return cache.put(record, exe_digest)
 
 
 def masks_of(a: tuple[str, ...]) -> dict[str, int]:
@@ -512,7 +514,8 @@ def perturb_sequence(
     """Derive a sequence exactly n_edits element-edits away from baseline.
 
     Composed random edits can cancel, so the draw is retried until the edit
-    distance verifiably equals n_edits.
+    distance verifiably equals n_edits. If no draw lands, n_edits seeded
+    passes are appended, which is exactly n_edits inserts away.
     """
     if n_edits == 0:
         return PassSequence(baseline.passes, label="sim-target")
@@ -536,4 +539,5 @@ def perturb_sequence(
         candidate = PassSequence(tuple(passes), label="sim-target")
         if edit_distance(candidate.passes, baseline.passes) == n_edits:
             return candidate
-    raise ValueError(f"could not construct a target {n_edits} edits from the baseline")
+    extra = tuple(rng.choice(catalog.passes) for _ in range(n_edits))
+    return PassSequence(baseline.passes + extra, label="sim-target")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean, stdev
+from statistics import fmean, mean, stdev
 
 from .errors import ExecutionError, ValidationError
 
@@ -108,18 +108,24 @@ class SummaryStats:
 
 
 def summarize(improvements: list[float]) -> SummaryStats:
-    """One-sample, one-tailed t test of H0: mean improvement = 0 vs H1: > 0."""
+    """One-sample, one-tailed t test of H0: mean improvement = 0 vs H1: > 0.
+
+    One value, or values with no spread, give the mean alone; an empty list
+    raises DegenerateSampleError.
+    """
     n = len(improvements)
-    if n < 2:
-        raise DegenerateSampleError(f"need at least 2 improvement values, got {n}")
-    mean = fmean(improvements)
-    sd = stdev(improvements)
+    if n == 0:
+        raise DegenerateSampleError("no improvement values to summarize")
+    sd = stdev(improvements) if n > 1 else 0.0
     if sd == 0.0:
-        raise DegenerateSampleError("improvement values are all identical (zero stddev)")
-    t = mean / (sd / math.sqrt(n))
+        # mean() is correctly rounded, so equal values give that value back;
+        # fmean of three 3.7s is 3.7000000000000006
+        return SummaryStats(n, mean(improvements), None, None, None)
+    mean_improvement = fmean(improvements)
+    t = mean_improvement / (sd / math.sqrt(n))
     return SummaryStats(
         n=n,
-        mean_improvement=mean,
+        mean_improvement=mean_improvement,
         sample_stddev=sd,
         t_statistic=t,
         p_value_one_tailed=student_t_sf(t, n - 1),

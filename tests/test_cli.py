@@ -110,6 +110,18 @@ def test_simulate_forces_simulated_backend(tmp_path):
     assert "kind = simulated" in effective
 
 
+def test_simulate_one_pass_catalog_target(tmp_path):
+    # random draws rarely land 6 edits from "-a -a" over a one-pass catalog
+    catalog_path, baseline_path = tmp_path / "catalog.txt", tmp_path / "baseline.txt"
+    catalog_path.write_text("-a\n")
+    baseline_path.write_text("-a\n-a\n")
+    config = tmp_path / "experiment.ini"
+    config.write_text(
+        sim_config_text(catalog_path, baseline_path, tmp_path / "out", trials=1, sim_target_edits=6)
+    )
+    assert main(["simulate", "--config", str(config)]) == 0
+
+
 # --- apply -------------------------------------------------------------------
 
 def figure_style_files(tmp_path):

@@ -174,6 +174,19 @@ def test_single_trial_summary_has_no_t_test(tmp_path):
     assert doc["summary"]["t_statistic"] is None
 
 
+def test_flat_improvements_write_the_exact_mean(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment_mod, "percent_improvement", lambda baseline, best: 3.7)
+    run_trials(sim_experiment(tmp_path, trials=3))
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert doc["summary"] == {
+        "n": 3,
+        "mean_improvement": 3.7,
+        "sample_stddev": None,
+        "t_statistic": None,
+        "p_value_one_tailed": None,
+    }
+
+
 def test_builtin_paths_resolve():
     catalog = resolve_catalog("builtin:catalog")
     assert len(catalog) > 100

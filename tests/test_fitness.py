@@ -8,10 +8,10 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import passevo.fitness as fitness_mod
-from passevo.catalog import PassSequence
+from passevo.catalog import PassCatalog, PassSequence
 from passevo.fitness import (
     PENALTY,
     EvaluationCache,
@@ -240,6 +240,30 @@ def test_perturb_sequence_hits_exact_distance(edits):
     baseline = PassSequence(catalog.passes[:8])
     target = perturb_sequence(baseline, catalog, edits, random.Random(42))
     assert recursive_edit_distance(target.passes, baseline.passes) == edits
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_perturb_sequence_reaches_distance_over_one_pass(seed):
+    # most draws cancel here; appending the passes still lands at distance 6
+    catalog = PassCatalog(("-a",))
+    baseline = PassSequence(("-a", "-a"))
+    target = perturb_sequence(baseline, catalog, 6, random.Random(seed))
+    assert matrix_edit_distance(target.passes, baseline.passes) == 6
+
+
+@st.composite
+def small_catalog_baselines(draw):
+    """A 1-3 pass catalog and a baseline of 0-6 of its passes."""
+    catalog = make_catalog(draw(st.integers(1, 3)))
+    return catalog, PassSequence(tuple(draw(st.lists(st.sampled_from(catalog.passes), max_size=6))))
+
+
+@settings(max_examples=50)
+@given(small_catalog_baselines(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_perturb_sequence_is_total_on_small_catalogs(catalog_and_baseline, edits, seed):
+    catalog, baseline = catalog_and_baseline
+    target = perturb_sequence(baseline, catalog, edits, random.Random(seed))
+    assert matrix_edit_distance(target.passes, baseline.passes) == edits
 
 
 def test_perturb_sequence_deterministic():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import mpmath as mp
 import pytest
@@ -108,21 +109,22 @@ def test_summarize_reported_trial_statistics():
 
 def test_summarize_degenerate_samples():
     with pytest.raises(DegenerateSampleError):
-        summarize([1.0])
-    with pytest.raises(DegenerateSampleError):
         summarize([])
-    with pytest.raises(DegenerateSampleError):
-        summarize([2.5, 2.5, 2.5])
+    # one value, or values with no spread: the mean alone, no t test
+    assert astuple(summarize([1.0])) == (1, 1.0, None, None, None)
+    assert astuple(summarize([2.5] * 3)) == (3, 2.5, None, None, None)
+
+
+def test_summarize_flat_mean_is_exact():
+    # a sum/len mean would give 3.6999999999999997
+    assert summarize([3.7] * 8).mean_improvement == 3.7
 
 
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=12), st.randoms())
 def test_summarize_permutation_invariant(values, rng):
     shuffled = list(values)
     rng.shuffle(shuffled)
-    try:
-        a = summarize(values)
-    except DegenerateSampleError:
-        return
+    a = summarize(values)
     b = summarize(shuffled)
     assert a.mean_improvement == pytest.approx(b.mean_improvement, rel=1e-9, abs=1e-9)
     assert a.t_statistic == pytest.approx(b.t_statistic, rel=1e-6, abs=1e-9)
