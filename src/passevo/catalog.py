@@ -5,7 +5,7 @@ sequence is an ordered pipeline of catalog members (duplicates allowed, order
 significant). Both are parsed from plain line-oriented text: one token per
 line, '#' comment lines and blank lines ignored. Tokens are compared byte
 for byte; no normalization is ever applied because they are handed verbatim
-to an external tool.
+to an external tool. A catalog or sequence is its passes and nothing else.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class PassCatalog:
     """Deduplicated, ordered vocabulary of pass names."""
 
     passes: tuple[str, ...]
-    source_label: str = ""
     _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,7 +82,6 @@ class PassSequence:
     """Ordered pipeline of pass names; duplicates allowed, may be empty."""
 
     passes: tuple[str, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         for name in self.passes:
@@ -96,7 +94,7 @@ class PassSequence:
         return iter(self.passes)
 
 
-def _trusted_sequence(passes: tuple[str, ...], label: str) -> PassSequence:
+def _trusted_sequence(passes: tuple[str, ...]) -> PassSequence:
     """Build a PassSequence from tokens that were all validated already.
 
     For inner loops only: it skips __post_init__, so every token must come
@@ -104,7 +102,6 @@ def _trusted_sequence(passes: tuple[str, ...], label: str) -> PassSequence:
     """
     seq = object.__new__(PassSequence)
     object.__setattr__(seq, "passes", passes)
-    object.__setattr__(seq, "label", label)
     return seq
 
 
@@ -124,7 +121,7 @@ def _tokens(text: str):
         yield lineno, parts[0]
 
 
-def load_catalog(text: str, source_label: str = "") -> PassCatalog:
+def load_catalog(text: str) -> PassCatalog:
     """Parse catalog text, preserving file order and rejecting duplicates."""
     names: list[str] = []
     seen: set[str] = set()
@@ -135,17 +132,17 @@ def load_catalog(text: str, source_label: str = "") -> PassCatalog:
         names.append(token)
     if not names:
         raise EmptyCatalogError()
-    return PassCatalog(tuple(names), source_label)
+    return PassCatalog(tuple(names))
 
 
-def load_sequence(text: str, catalog: PassCatalog, label: str = "") -> PassSequence:
+def load_sequence(text: str, catalog: PassCatalog) -> PassSequence:
     """Parse sequence text; every token must be a catalog member."""
     names: list[str] = []
     for lineno, token in _tokens(text):
         if token not in catalog:
             raise UnknownPassError(token, lineno)
         names.append(token)
-    return PassSequence(tuple(names), label)
+    return PassSequence(tuple(names))
 
 
 def serialize_catalog(catalog: PassCatalog) -> str:
@@ -168,7 +165,7 @@ def search_space_order(catalog_size: int, sequence_length: int) -> float:
 def builtin_catalog() -> PassCatalog:
     """The shipped legacy -O3 snapshot vocabulary."""
     text = resources.files("passevo.data").joinpath("o3_catalog.txt").read_text("utf-8")
-    return load_catalog(text, source_label="builtin:catalog")
+    return load_catalog(text)
 
 
 def builtin_baseline(catalog: PassCatalog | None = None) -> PassSequence:
@@ -176,4 +173,4 @@ def builtin_baseline(catalog: PassCatalog | None = None) -> PassSequence:
     if catalog is None:
         catalog = builtin_catalog()
     text = resources.files("passevo.data").joinpath("o3_baseline.txt").read_text("utf-8")
-    return load_sequence(text, catalog, label="builtin:baseline")
+    return load_sequence(text, catalog)

@@ -14,11 +14,10 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from .catalog import serialize_sequence
 from .config import load_config
-from .errors import ConfigError, ExecutionError, ValidationError
+from .errors import ConfigError, ExecutionError, ValidationError, read_input
 from .experiment import measure_baseline, resolve_catalog, resolve_sequence, run_trials
 from .fitness import KIND_SIMULATED
 from .patches import apply_individual, parse_individual
@@ -133,10 +132,7 @@ def cmd_evolve(args: argparse.Namespace, force_simulated: bool = False) -> int:
 def cmd_apply(args: argparse.Namespace) -> int:
     catalog = resolve_catalog(args.catalog)
     baseline = resolve_sequence(args.baseline, catalog)
-    path = Path(args.individual)
-    if not path.is_file():
-        raise ConfigError(f"individual file not found: {args.individual}")
-    individual = parse_individual(path.read_text("utf-8"), catalog)
+    individual = parse_individual(read_input(args.individual, "individual"), catalog)
     sys.stdout.write(serialize_sequence(apply_individual(baseline, individual)))
     return EXIT_OK
 
@@ -151,11 +147,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_improvements(path_str: str) -> list[float]:
-    path = Path(path_str)
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path_str}")
-    text = path.read_text("utf-8")
+def _read_improvements(path: str) -> list[float]:
+    text = read_input(path, "input")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
@@ -169,18 +162,15 @@ def _read_improvements(path_str: str) -> list[float]:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"unrecognized summary document: {exc}") from exc
-    if isinstance(doc, list):
-        values = doc
-    else:
-        values = [
-            token
-            for line in text.splitlines()
-            if not line.strip().startswith("#")
-            for token in line.split()
-        ]
+    values = [
+        token
+        for line in text.splitlines()
+        if not line.strip().startswith("#")
+        for token in line.split()
+    ]
     try:
         numbers = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"not a list of numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in numbers):
         raise ConfigError("improvement values must be finite")
@@ -214,16 +204,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_apply(args)
         if args.command == "baseline":
             return cmd_baseline(args)
-        if args.command == "stats":
-            return cmd_stats(args)
-        parser.error(f"unknown command {args.command!r}")
+        return cmd_stats(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ExecutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import shlex
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_input, require_file
 from .evolution import GAConfig
 from .experiment import ExperimentConfig
 from .fitness import KIND_EXTERNAL, BackendConfig
@@ -80,16 +80,13 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if cfg.backend.kind == KIND_EXTERNAL and not Path(cfg.backend.source_path).is_file():
-        raise ConfigError(f"source file not found: {cfg.backend.source_path}")
+    if cfg.backend.kind == KIND_EXTERNAL:
+        require_file(cfg.backend.source_path, "source")
     return cfg
 
 
 def load_config(path: str | Path, overrides: dict[tuple[str, str], str] | None = None) -> ExperimentConfig:
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(file.read_text("utf-8"), overrides)
+    return parse_config_text(read_input(path, "config"), overrides)
 
 
 def _render_value(value) -> str:

@@ -152,9 +152,9 @@ def evolve(
     catalog: PassCatalog,
     fitness_fn: FitnessFn,
     progress: ProgressFn | None = None,
-) -> tuple[Individual, list[GenerationRecord]]:
-    """Run the generational loop; returns the best-ever individual and one
-    record per generation, in order.
+) -> list[GenerationRecord]:
+    """Run the generational loop; returns one record per generation, in order.
+    The run's best-ever is min(history, key=lambda r: r.best_fitness).
 
     fitness_fn must be total: failed evaluations come back as a penalty value,
     never as an exception, so one broken candidate cannot abort the run.
@@ -162,14 +162,10 @@ def evolve(
     rng = random.Random(cfg.rng_seed)
     population = init_population(cfg, catalog, rng)
     history: list[GenerationRecord] = []
-    best_ind: Individual | None = None
-    best_fit = float("inf")
 
     for generation in range(cfg.generations):
         fitnesses = [fitness_fn(apply_individual(baseline, ind)) for ind in population]
         gen_best = min(range(len(population)), key=lambda i: fitnesses[i])
-        if best_ind is None or fitnesses[gen_best] < best_fit:
-            best_ind, best_fit = population[gen_best], fitnesses[gen_best]
         record = GenerationRecord(
             generation=generation,
             best_fitness=fitnesses[gen_best],
@@ -196,5 +192,4 @@ def evolve(
                     next_population.append(mutate(child, catalog, cfg, rng))
         population = next_population
 
-    assert best_ind is not None
-    return best_ind, history
+    return history

@@ -28,7 +28,7 @@ from .catalog import (
     load_sequence,
     serialize_sequence,
 )
-from .errors import ConfigError, ExecutionError
+from .errors import ExecutionError, read_input
 from .evolution import GAConfig, GenerationRecord, evolve
 from .fitness import (
     KIND_SIMULATED,
@@ -100,19 +100,13 @@ class TrialResult:
 def resolve_catalog(path: str) -> PassCatalog:
     if path == BUILTIN_CATALOG:
         return builtin_catalog()
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"catalog file not found: {path}")
-    return load_catalog(file.read_text("utf-8"), source_label=path)
+    return load_catalog(read_input(path, "catalog"))
 
 
 def resolve_sequence(path: str, catalog: PassCatalog) -> PassSequence:
     if path == BUILTIN_BASELINE:
         return builtin_baseline(catalog)
-    file = Path(path)
-    if not file.is_file():
-        raise ConfigError(f"sequence file not found: {path}")
-    return load_sequence(file.read_text("utf-8"), catalog, label=path)
+    return load_sequence(read_input(path, "sequence"), catalog)
 
 
 RecordFn = Callable[[PassSequence], EvaluationRecord]
@@ -171,9 +165,11 @@ def run_trials(
 ) -> tuple[list[TrialResult], SummaryStats | None]:
     """Run every trial, write all artifacts under cfg.output_dir.
 
-    A trial that errors out is recorded with its message and skipped by the
-    summary; the summary covers however many trials completed (None if
-    none did; see summarize for too few or too flat improvements).
+    A trial's best is min(history, key=lambda r: r.best_fitness): the first
+    record of its lowest fitness. A trial that errors out is recorded with
+    its message and skipped by the summary; the summary covers however many
+    trials completed (None if none did; see summarize for too few or too
+    flat improvements).
     """
     from .config import write_config
 
@@ -197,18 +193,18 @@ def run_trials(
             trial_progress = lambda rec, _i=index: progress(_i, rec)
         try:
             ga = replace(cfg.ga, rng_seed=seed)
-            best_ind, history = evolve(ga, baseline, catalog, fitness_fn, trial_progress)
-            best_fitness = min(r.best_fitness for r in history)
-            if not math.isfinite(best_fitness):
+            history = evolve(ga, baseline, catalog, fitness_fn, trial_progress)
+            best = min(history, key=lambda r: r.best_fitness)
+            if not math.isfinite(best.best_fitness):
                 raise ExecutionError("no candidate produced a finite fitness")
             result = TrialResult(
                 trial_index=index,
                 seed=seed,
                 baseline_fitness=baseline_fitness,
-                best_fitness=best_fitness,
-                percent_improvement=percent_improvement(baseline_fitness, best_fitness),
-                best_individual=best_ind,
-                best_sequence=apply_individual(baseline, best_ind),
+                best_fitness=best.best_fitness,
+                percent_improvement=percent_improvement(baseline_fitness, best.best_fitness),
+                best_individual=best.best_individual,
+                best_sequence=apply_individual(baseline, best.best_individual),
                 history=history,
             )
             _write_trial(out_root / f"trial_{index}", result)

@@ -52,6 +52,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .catalog import PassCatalog, PassSequence
+from .errors import ConfigError
 
 PENALTY = float("inf")
 
@@ -98,10 +99,9 @@ class BackendConfig:
                     raise ValueError(f"{key} is required when kind = {KIND_EXTERNAL}")
         if self.runs_per_eval < 1:
             raise ValueError("runs_per_eval must be >= 1")
-        if self.run_timeout <= 0 or self.compile_timeout <= 0:
-            raise ValueError("timeouts must be > 0")
-        if self.sim_base_runtime <= 0:
-            raise ValueError("sim_base_runtime must be > 0")
+        for key in ("run_timeout", "compile_timeout", "sim_base_runtime"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key} must be finite and > 0")
         if self.sim_target_edits < 0:
             raise ValueError("sim_target_edits must be >= 0")
 
@@ -162,7 +162,8 @@ class EvaluationCache:
 
         A run killed mid-append leaves a partial last line. It is cut from
         the file, so later appends start on a fresh line, and the run
-        resumes with every complete record.
+        resumes with every complete record. Any other line that is not a
+        record is a ConfigError naming the file and the line.
         """
         lines = path.read_bytes().split(b"\n")
         offset = 0
@@ -170,24 +171,28 @@ class EvaluationCache:
             start, offset = offset, offset + len(line) + 1
             if not line.strip():
                 continue
+            bad = f"{path}: line {index + 1} of the evaluation cache is not a record"
             try:
                 row = json.loads(line)
-            except ValueError:
+            except ValueError as exc:
                 if any(rest.strip() for rest in lines[index + 1 :]):
-                    raise
+                    raise ConfigError(f"{bad}: {exc}") from exc
                 warnings.warn(f"{path}: dropping torn last line {index + 1} of the evaluation cache")
                 with path.open("r+b") as fh:
                     fh.truncate(start)
                 return
-            record = EvaluationRecord(
-                sequence_digest=row["digest"],
-                runs=int(row["runs"]),
-                samples=(),
-                mean=PENALTY if row["mean"] is None else float(row["mean"]),
-                sample_stddev=0.0 if row["stddev"] is None else float(row["stddev"]),
-                status=EvaluationStatus(row["status"]),
-                diagnostics=row.get("diagnostics", ""),
-            )
+            try:
+                record = EvaluationRecord(
+                    sequence_digest=row["digest"],
+                    runs=int(row["runs"]),
+                    samples=(),
+                    mean=PENALTY if row["mean"] is None else float(row["mean"]),
+                    sample_stddev=0.0 if row["stddev"] is None else float(row["stddev"]),
+                    status=EvaluationStatus(row["status"]),
+                    diagnostics=row.get("diagnostics", ""),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{bad}: {exc!r}") from exc
             self._records.setdefault(record.sequence_digest, record)
             if row.get("exe") is not None:
                 self._timed.setdefault(row["exe"], record)
@@ -485,8 +490,8 @@ class SimModel:
     masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.base_runtime <= 0:
-            raise ValueError("base_runtime must be > 0")
+        if not 0 < self.base_runtime < math.inf:
+            raise ValueError("base_runtime must be finite and > 0")
         object.__setattr__(self, "masks", masks_of(self.target.passes))
 
 
@@ -518,7 +523,7 @@ def perturb_sequence(
     passes are appended, which is exactly n_edits inserts away.
     """
     if n_edits == 0:
-        return PassSequence(baseline.passes, label="sim-target")
+        return baseline
     for _ in range(1000):
         passes = list(baseline.passes)
         for _ in range(n_edits):
@@ -536,8 +541,8 @@ def perturb_sequence(
                 if not others:
                     continue
                 passes[i] = rng.choice(others)
-        candidate = PassSequence(tuple(passes), label="sim-target")
+        candidate = PassSequence(tuple(passes))
         if edit_distance(candidate.passes, baseline.passes) == n_edits:
             return candidate
     extra = tuple(rng.choice(catalog.passes) for _ in range(n_edits))
-    return PassSequence(baseline.passes + extra, label="sim-target")
+    return PassSequence(baseline.passes + extra)

@@ -133,7 +133,7 @@ def apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:
             del passes[i]
         else:
             passes[i] = patch.value
-    return _trusted_sequence(tuple(passes), baseline.label)
+    return _trusted_sequence(tuple(passes))
 
 
 def _format_position(position: float) -> str:

@@ -10,11 +10,11 @@ FAKE_TOOL = Path(__file__).parent / "fake_toolchain.py"
 
 
 def make_catalog(n: int, prefix: str = "p") -> PassCatalog:
-    return PassCatalog(tuple(f"-{prefix}{i}" for i in range(n)), source_label=f"test-{n}")
+    return PassCatalog(tuple(f"-{prefix}{i}" for i in range(n)))
 
 
 def make_sequence(catalog: PassCatalog, indices) -> PassSequence:
-    return PassSequence(tuple(catalog.passes[i] for i in indices), label="test-seq")
+    return PassSequence(tuple(catalog.passes[i] for i in indices))
 
 
 @pytest.fixture

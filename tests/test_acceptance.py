@@ -249,7 +249,7 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
         compile_timeout=60.0,
     )
 
-    baseline_seq = PassSequence(smoke_passes, label="smoke-baseline")
+    baseline_seq = PassSequence(smoke_passes)
     patched_seq = apply_individual(baseline_seq, Individual((Patch(PatchType.DELETION, 1.0),)))
     assert len(patched_seq) == len(baseline_seq) - 1
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from passevo.cli import main
 from passevo.catalog import serialize_catalog, serialize_sequence
 
@@ -249,3 +251,24 @@ def test_stats_malformed_exit_two(tmp_path, capsys):
     data = tmp_path / "junk.txt"
     data.write_text("not numbers here\n")
     assert main(["stats", str(data)]) == 2
+
+
+# --- input files -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "{blob}"],
+    ["apply", "--catalog", "{blob}", "--baseline", "{baseline}", "--individual", "{patch}"],
+    ["apply", "--catalog", "{catalog}", "--baseline", "{blob}", "--individual", "{patch}"],
+    ["apply", "--catalog", "{catalog}", "--baseline", "{baseline}", "--individual", "{blob}"],
+    ["stats", "{blob}"],
+], ids=["evolve-config", "apply-catalog", "apply-baseline", "apply-individual", "stats"])
+def test_undecodable_input_exit_two(tmp_path, capsys, argv):
+    figure_style_files(tmp_path)
+    patch = tmp_path / "ind.patch"
+    patch.write_text("delete 0.5\n")
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(bytes(range(256)) + bytes(range(44)))  # 300 bytes, not UTF-8
+    paths = {"blob": blob, "catalog": tmp_path / "catalog.txt",
+             "baseline": tmp_path / "baseline.txt", "patch": patch}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert str(blob) in capsys.readouterr().err

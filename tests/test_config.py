@@ -92,6 +92,17 @@ def test_bad_range_rejected():
         parse_config_text(with_experiment_key("seeds = -1 2"))
     with pytest.raises(ConfigError):
         parse_config_text(MINIMAL.replace("[ga]\n", f"[ga]\nrng_seed = {2**64 - 1}\n"))
+    for key in ("run_timeout", "compile_timeout", "sim_base_runtime"):
+        for value in ("nan", "inf"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(MINIMAL + f"{key} = {value}\n")
+
+
+def test_non_finite_timeout_exits_two(tmp_path, capsys):
+    config = tmp_path / "nan.ini"
+    config.write_text(MINIMAL + "compile_timeout = nan\n")
+    assert main(["baseline", "--config", str(config)]) == 2
+    assert "compile_timeout" in capsys.readouterr().err
 
 
 def with_experiment_key(line: str) -> str:

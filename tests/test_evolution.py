@@ -224,28 +224,26 @@ def test_evolve_degenerate_single_individual():
     baseline = make_sequence(catalog, [0, 1])
     cfg = GAConfig(population_size=1, generations=1, elitism_count=0, rng_seed=5)
     initial = init_population(cfg, catalog, random.Random(5))
-    best, history = evolve(cfg, baseline, catalog, lambda seq: float(len(seq)))
-    assert best == initial[0]
+    history = evolve(cfg, baseline, catalog, lambda seq: float(len(seq)))
     assert len(history) == 1
+    assert history[0].best_individual == initial[0]
 
 
 def test_evolve_hidden_target_regression():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=30, generations=30, rng_seed=42)
-    best, history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
     # frozen outcome of this exact seeded run
     assert history[0].best_fitness == 1.2
-    best_fitness = min(r.best_fitness for r in history)
-    assert best_fitness == 1.1
-    assert best_fitness < history[0].best_fitness
-    assert simulated_fitness(apply_individual(baseline, best), model) == best_fitness
+    best = min(history, key=lambda r: r.best_fitness)
+    assert best.best_fitness == 1.1
+    assert simulated_fitness(apply_individual(baseline, best.best_individual), model) == 1.1
 
 
 def test_evolve_history_shape_and_monotone_best():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=20, generations=12, elitism_count=1, rng_seed=3)
-    _, history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
-    records = list(history)
+    records = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
     assert len(records) == cfg.generations
     assert [r.generation for r in records] == list(range(cfg.generations))
     for earlier, later in zip(records, records[1:]):
@@ -257,10 +255,7 @@ def test_evolve_fully_deterministic():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=15, generations=8, rng_seed=77)
     fn = lambda s: simulated_fitness(s, model)
-    best1, hist1 = evolve(cfg, baseline, catalog, fn)
-    best2, hist2 = evolve(cfg, baseline, catalog, fn)
-    assert best1 == best2
-    assert list(hist1) == list(hist2)
+    assert evolve(cfg, baseline, catalog, fn) == evolve(cfg, baseline, catalog, fn)
 
 
 def test_evolve_fitness_call_budget():
@@ -281,7 +276,7 @@ def test_evolve_genomes_bounded_every_generation():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=12, generations=10, max_genome_len=6,
                    init_genome_len_min=1, init_genome_len_max=6, rng_seed=13)
-    _, history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
     for record in history:
         assert len(record.best_individual) <= cfg.max_genome_len
         for patch in record.best_individual:
@@ -295,7 +290,7 @@ def test_ga_built_genes_pass_the_public_checks(seed):
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=12, generations=15, mutation_rate=1.0,
                    per_gene_mutation_rate=1.0, rng_seed=seed)
-    _, history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
     genes = 0
     for record in history:
         ind = record.best_individual

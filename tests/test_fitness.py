@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import time
 import warnings
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import passevo.fitness as fitness_mod
 from passevo.catalog import PassCatalog, PassSequence
+from passevo.cli import main
+from passevo.errors import ConfigError
 from passevo.fitness import (
     PENALTY,
     EvaluationCache,
@@ -31,7 +34,7 @@ from passevo.fitness import (
     time_execution,
 )
 
-from conftest import FAKE_TOOL, fake_backend, make_catalog
+from conftest import FAKE_TOOL, external_config_text, fake_backend, make_catalog, write_test_inputs
 
 
 # --- independent oracle: plain recursive edit distance -----------------------
@@ -206,6 +209,12 @@ def test_sim_model_masks_stay_out_of_equality_and_repr():
     assert model.masks == masks_of(target.passes)
     assert model == SimModel(target, 1.0) and hash(model) == hash(SimModel(target, 1.0))
     assert "masks" not in repr(model)
+
+
+@pytest.mark.parametrize("base_runtime", [0.0, -1.0, math.nan, math.inf])
+def test_sim_model_rejects_non_finite_or_non_positive_runtime(base_runtime):
+    with pytest.raises(ValueError, match="base_runtime"):
+        SimModel(PassSequence(("a",)), base_runtime)
 
 
 def test_penalty_orders_above_any_measurement():
@@ -800,11 +809,34 @@ def test_cache_skips_torn_last_line_and_resumes(tmp_path):
 
 def test_cache_rejects_malformed_line_before_the_last(tmp_path):
     path = tmp_path / "eval_cache.jsonl"
-    text = _cache_line("ab", 1.5) + '{"digest": "cd", "me\n' + _cache_line("ef", 2.5)
-    path.write_text(text, "utf-8")
-    with pytest.raises(ValueError):
-        EvaluationCache(path)
-    assert path.read_text("utf-8") == text
+    row = json.loads(_cache_line("cd", 2.0))
+    not_records = [
+        json.dumps({**row, "status": "okay"}),
+        json.dumps({key: value for key, value in row.items() if key != "runs"}),
+        json.dumps([row]),
+    ]
+    cases = [('{"digest": "cd", "me', _cache_line("ef", 2.5))]
+    # a whole line that is not a record is no torn tail, even when it is the last
+    cases += [(line, tail) for line in not_records for tail in (_cache_line("ef", 2.5), "")]
+    for bad, tail in cases:
+        text = _cache_line("ab", 1.5) + bad + "\n" + tail
+        path.write_text(text, "utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 2 ")):
+            EvaluationCache(path)
+        assert path.read_text("utf-8") == text
+
+
+def test_corrupt_cache_row_exits_two(tmp_path, capsys):
+    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "eval_cache.jsonl").write_text(
+        _cache_line("ab", 1.5).replace('"ok"', '"okay"') + _cache_line("cd", 2.5), "utf-8"
+    )
+    config = tmp_path / "ext.ini"
+    config.write_text(external_config_text(tmp_path, catalog_path, baseline_path, out_dir))
+    assert main(["evolve", "--config", str(config)]) == 2
+    assert "eval_cache.jsonl: line 1 " in capsys.readouterr().err
 
 
 def test_cache_first_writer_wins():

@@ -165,15 +165,13 @@ def test_patched_sequences_match_validated_construction():
     # apply_patch skips re-validation; its results must be ordinary sequences
     rng = random.Random(31337)
     for baseline, ind in random_corpus(2_000, rng):
-        labelled = PassSequence(baseline.passes, label="base")
-        results = [apply_individual(labelled, ind)]
-        results += [apply_patch(labelled, patch) for patch in ind.patches]
+        results = [apply_individual(baseline, ind)]
+        results += [apply_patch(baseline, patch) for patch in ind.patches]
         for out in results:
-            validated = PassSequence(tuple(out.passes), "base")
+            validated = PassSequence(tuple(out.passes))
             assert type(out) is PassSequence
             assert out == validated
             assert hash(out) == hash(validated)
-            assert out.label == "base"
 
 
 def test_bad_tokens_still_rejected_at_the_boundary():
@@ -222,13 +220,13 @@ def slicing_apply_patch(seq: PassSequence, patch: Patch) -> PassSequence:
     passes = seq.passes
     if patch.ptype is PatchType.INSERTION:
         i = resolve_index(patch.position, len(passes), "gap")
-        return _trusted_sequence(passes[:i] + (patch.value,) + passes[i:], seq.label)
+        return _trusted_sequence(passes[:i] + (patch.value,) + passes[i:])
     i = resolve_index(patch.position, len(passes), "element")
     if i is None:
         return seq
     if patch.ptype is PatchType.DELETION:
-        return _trusted_sequence(passes[:i] + passes[i + 1 :], seq.label)
-    return _trusted_sequence(passes[:i] + (patch.value,) + passes[i + 1 :], seq.label)
+        return _trusted_sequence(passes[:i] + passes[i + 1 :])
+    return _trusted_sequence(passes[:i] + (patch.value,) + passes[i + 1 :])
 
 
 def slicing_apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:
@@ -253,11 +251,10 @@ fold_patches = st.builds(
 )
 def test_fold_matches_patch_by_patch_slicing(baseline, patches):
     # empty baselines make deletes and replaces no-ops until an insert lands
-    base = PassSequence(tuple(baseline), label="base")
+    base = PassSequence(tuple(baseline))
     ind = Individual(tuple(patches))
     out = apply_individual(base, ind)
     assert out == slicing_apply_individual(base, ind)
-    assert out.label == "base"
     assert base.passes == tuple(baseline)
     for patch in patches:
         assert apply_patch(base, patch) == apply_individual(base, Individual((patch,)))
@@ -269,11 +266,10 @@ def test_empty_genome_returns_the_baseline_object():
         assert apply_individual(baseline, Individual()) is baseline
 
 
-def test_fold_no_ops_on_empty_keep_the_label():
-    empty = PassSequence((), label="base")
+def test_fold_no_ops_on_empty_give_the_empty_sequence():
+    empty = PassSequence(())
     ind = Individual((Patch(PatchType.DELETION, 1.0), Patch(PatchType.REPLACEMENT, 0.0, "x")))
-    out = apply_individual(empty, ind)
-    assert out == empty and out.label == "base"
+    assert apply_individual(empty, ind) == empty
 
 
 def test_apply_individual_deterministic():

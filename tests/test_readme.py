@@ -1,0 +1,21 @@
+"""The README's "Library use" example runs against the package as it is."""
+
+import re
+from pathlib import Path
+
+from passevo import GenerationRecord, apply_individual, simulated_fitness
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_use_example_runs():
+    section = README.read_text("utf-8").split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    history, best = namespace["history"], namespace["best"]
+    assert all(type(record) is GenerationRecord for record in history)
+    assert best in history
+    assert best.best_fitness == min(record.best_fitness for record in history)
+    pipeline = apply_individual(namespace["baseline"], best.best_individual)
+    assert simulated_fitness(pipeline, namespace["model"]) == best.best_fitness
