@@ -14,33 +14,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ValidationError
-
-
-class DuplicatePassError(ValidationError):
-    def __init__(self, name: str, line: int):
-        super().__init__(f"duplicate pass {name!r} on line {line}")
-        self.name = name
-        self.line = line
-
-
-class EmptyCatalogError(ValidationError):
-    def __init__(self):
-        super().__init__("catalog contains no passes")
-
-
-class MalformedLineError(ValidationError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"malformed line {line}: {reason}")
-        self.line = line
-
-
-class UnknownPassError(ValidationError):
-    def __init__(self, name: str, line: int = 0):
-        where = f" on line {line}" if line else ""
-        super().__init__(f"pass {name!r}{where} is not in the catalog")
-        self.name = name
-        self.line = line
+from .errors import ValidationError, input_lines
 
 
 def validate_token(name: str) -> str:
@@ -61,12 +35,12 @@ class PassCatalog:
 
     def __post_init__(self):
         if not self.passes:
-            raise EmptyCatalogError()
+            raise ValidationError("catalog contains no passes")
         seen = set()
         for name in self.passes:
             validate_token(name)
             if name in seen:
-                raise DuplicatePassError(name, 0)
+                raise ValidationError(f"duplicate pass {name!r}")
             seen.add(name)
         object.__setattr__(self, "_members", frozenset(self.passes))
 
@@ -107,17 +81,13 @@ def _trusted_sequence(passes: tuple[str, ...]) -> PassSequence:
 
 def _tokens(text: str):
     """Yield (line_number, token) for each non-comment, non-blank line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in input_lines(text):
         if len(parts) != 1:
-            raise MalformedLineError(lineno, f"expected one token, got {len(parts)}")
+            raise ValidationError(f"malformed line {lineno}: expected one token, got {len(parts)}")
         try:
             validate_token(parts[0])
         except ValueError as exc:
-            raise MalformedLineError(lineno, str(exc)) from exc
+            raise ValidationError(f"malformed line {lineno}: {exc}") from exc
         yield lineno, parts[0]
 
 
@@ -127,11 +97,9 @@ def load_catalog(text: str) -> PassCatalog:
     seen: set[str] = set()
     for lineno, token in _tokens(text):
         if token in seen:
-            raise DuplicatePassError(token, lineno)
+            raise ValidationError(f"duplicate pass {token!r} on line {lineno}")
         seen.add(token)
         names.append(token)
-    if not names:
-        raise EmptyCatalogError()
     return PassCatalog(tuple(names))
 
 
@@ -140,7 +108,7 @@ def load_sequence(text: str, catalog: PassCatalog) -> PassSequence:
     names: list[str] = []
     for lineno, token in _tokens(text):
         if token not in catalog:
-            raise UnknownPassError(token, lineno)
+            raise ValidationError(f"pass {token!r} on line {lineno} is not in the catalog")
         names.append(token)
     return PassSequence(tuple(names))
 

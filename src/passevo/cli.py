@@ -17,11 +17,11 @@ import sys
 
 from .catalog import serialize_sequence
 from .config import load_config
-from .errors import ConfigError, ExecutionError, ValidationError, read_input
+from .errors import ConfigError, ExecutionError, ValidationError, input_lines, read_input
 from .experiment import measure_baseline, resolve_catalog, resolve_sequence, run_trials
 from .fitness import KIND_SIMULATED
 from .patches import apply_individual, parse_individual
-from .stats import DegenerateSampleError, summarize
+from .stats import summarize
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -155,23 +155,19 @@ def _read_improvements(path: str) -> list[float]:
         doc = None
     if isinstance(doc, dict):
         try:
-            return [
+            numbers = [
                 float(t["percent_improvement"])
                 for t in doc["trials"]
                 if t.get("status") == "ok"
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        # a row that is not an object raises AttributeError at .get
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"unrecognized summary document: {exc}") from exc
-    values = [
-        token
-        for line in text.splitlines()
-        if not line.strip().startswith("#")
-        for token in line.split()
-    ]
-    try:
-        numbers = [float(v) for v in values]
-    except ValueError as exc:
-        raise ConfigError(f"not a list of numbers: {exc}") from exc
+    else:
+        try:
+            numbers = [float(v) for _, fields in input_lines(text) for v in fields]
+        except ValueError as exc:
+            raise ConfigError(f"not a list of numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in numbers):
         raise ConfigError("improvement values must be finite")
     return numbers
@@ -181,7 +177,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     improvements = _read_improvements(args.input)
     summary = summarize(improvements)
     if summary.t_statistic is None:
-        raise DegenerateSampleError(
+        raise ExecutionError(
             f"a t test needs at least 2 improvement values with spread, got {summary.n}"
         )
     print(f"n = {summary.n}")

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package, and read_input, the one
-reader of user-supplied text files.
+"""The package's four exception classes and its readers of user text.
 
-ValidationError covers malformed inputs (files, configs, flags) and maps to
-CLI exit code 2; ExecutionError covers failures at run time (broken baseline,
-degenerate statistics) and maps to exit code 1.
+PassEvoError, never raised itself, is the base for library callers. A
+ValidationError (malformed input: a file, config, flag or argument) makes
+the CLI exit 2, as does its subclass ConfigError (a missing, unreadable or
+malformed config or input file). An ExecutionError (a failure at run time:
+broken baseline, degenerate statistics) exits 1. read_input reads a
+user-supplied file; input_lines splits line-based text into fields,
+skipping blank and '#' comment lines.
 """
 
 from pathlib import Path
@@ -42,3 +45,12 @@ def read_input(path: str | Path, what: str) -> str:
         return require_file(path, what).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def input_lines(text: str):
+    """Yield (line_number, fields) for each line that is neither blank nor
+    a '#' comment; line numbers count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line.split()

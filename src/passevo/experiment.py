@@ -28,7 +28,7 @@ from .catalog import (
     load_sequence,
     serialize_sequence,
 )
-from .errors import ExecutionError, read_input
+from .errors import ConfigError, ExecutionError, read_input
 from .evolution import GAConfig, GenerationRecord, evolve
 from .fitness import (
     KIND_SIMULATED,
@@ -47,10 +47,6 @@ from .stats import SummaryStats, percent_improvement, summarize
 
 BUILTIN_CATALOG = "builtin:catalog"
 BUILTIN_BASELINE = "builtin:baseline"
-
-
-class BaselineError(ExecutionError):
-    """The unmodified baseline failed to compile or run; nothing to improve on."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def _score_baseline(record_fn: RecordFn, baseline: PassSequence) -> EvaluationRe
     """Score the unmodified baseline; a broken baseline is fatal."""
     record = record_fn(baseline)
     if record.status is not EvaluationStatus.OK:
-        raise BaselineError(
+        raise ExecutionError(
             f"baseline evaluation failed ({record.status.value}): {record.diagnostics}"
         )
     return record
@@ -177,8 +173,11 @@ def run_trials(
     baseline = resolve_sequence(cfg.baseline_path, catalog)
 
     out_root = Path(cfg.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    write_config(cfg, out_root / "effective_config.ini")
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+        write_config(cfg, out_root / "effective_config.ini")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {cfg.output_dir}: {exc}") from exc
 
     record_fn = build_record_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
     fitness_fn = lambda seq: record_fn(seq).fitness

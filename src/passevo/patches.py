@@ -15,21 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .catalog import PassCatalog, PassSequence, UnknownPassError, _trusted_sequence, validate_token
-from .errors import ValidationError
-
-
-class MalformedPatchLineError(ValidationError):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"malformed patch line {line}: {reason}")
-        self.line = line
-
-
-class PositionOutOfRangeError(ValidationError):
-    def __init__(self, line: int, position: float):
-        super().__init__(f"line {line}: position {position!r} outside [0, 1]")
-        self.line = line
-        self.position = position
+from .catalog import PassCatalog, PassSequence, _trusted_sequence, validate_token
+from .errors import ValidationError, input_lines
 
 
 class PatchType(enum.Enum):
@@ -161,25 +148,23 @@ _KEYWORDS = {t.value: t for t in PatchType}
 def parse_individual(text: str, catalog: PassCatalog) -> Individual:
     """Parse the line format `insert <pos> <pass>` | `delete <pos>` | `replace <pos> <pass>`."""
     patches: list[Patch] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in input_lines(text):
         ptype = _KEYWORDS.get(parts[0])
         if ptype is None:
-            raise MalformedPatchLineError(lineno, f"unknown patch type {parts[0]!r}")
+            raise ValidationError(f"malformed patch line {lineno}: unknown patch type {parts[0]!r}")
         want = 2 if ptype is PatchType.DELETION else 3
         if len(parts) != want:
-            raise MalformedPatchLineError(lineno, f"{parts[0]} takes {want - 1} argument(s)")
+            raise ValidationError(
+                f"malformed patch line {lineno}: {parts[0]} takes {want - 1} argument(s)"
+            )
         try:
             position = float(parts[1])
         except ValueError as exc:
-            raise MalformedPatchLineError(lineno, f"bad position {parts[1]!r}") from exc
+            raise ValidationError(f"malformed patch line {lineno}: bad position {parts[1]!r}") from exc
         if not 0.0 <= position <= 1.0:
-            raise PositionOutOfRangeError(lineno, position)
+            raise ValidationError(f"line {lineno}: position {position!r} outside [0, 1]")
         value = parts[2] if want == 3 else None
         if value is not None and value not in catalog:
-            raise UnknownPassError(value, lineno)
+            raise ValidationError(f"pass {value!r} on line {lineno} is not in the catalog")
         patches.append(Patch(ptype, position, value))
     return Individual(tuple(patches))

@@ -20,19 +20,10 @@ _FPMIN = 1e-300
 _MAX_ITER = 400
 
 
-class NonPositiveBaselineError(ValidationError):
-    def __init__(self, baseline: float):
-        super().__init__(f"baseline runtime must be positive and finite, got {baseline!r}")
-
-
-class DegenerateSampleError(ExecutionError):
-    pass
-
-
 def percent_improvement(baseline: float, evolved: float) -> float:
     """Positive when the evolved runtime beats the baseline."""
     if not math.isfinite(baseline) or baseline <= 0:
-        raise NonPositiveBaselineError(baseline)
+        raise ValidationError(f"baseline runtime must be positive and finite, got {baseline!r}")
     return 100.0 * (baseline - evolved) / baseline
 
 
@@ -111,11 +102,11 @@ def summarize(improvements: list[float]) -> SummaryStats:
     """One-sample, one-tailed t test of H0: mean improvement = 0 vs H1: > 0.
 
     One value, or values with no spread, give the mean alone; an empty list
-    raises DegenerateSampleError.
+    raises ExecutionError.
     """
     n = len(improvements)
     if n == 0:
-        raise DegenerateSampleError("no improvement values to summarize")
+        raise ExecutionError("no improvement values to summarize")
     sd = stdev(improvements) if n > 1 else 0.0
     if sd == 0.0:
         # mean() is correctly rounded, so equal values give that value back;

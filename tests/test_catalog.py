@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from passevo.catalog import (
-    DuplicatePassError,
-    EmptyCatalogError,
-    MalformedLineError,
     PassCatalog,
     PassSequence,
-    UnknownPassError,
     builtin_baseline,
     builtin_catalog,
     load_catalog,
@@ -18,6 +14,7 @@ from passevo.catalog import (
     serialize_catalog,
     serialize_sequence,
 )
+from passevo.errors import ValidationError
 
 token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-0123456789", min_size=1, max_size=12)
 
@@ -33,21 +30,23 @@ def test_load_catalog_skips_comments_and_blanks():
 
 
 def test_load_catalog_duplicate():
-    with pytest.raises(DuplicatePassError) as err:
+    with pytest.raises(ValidationError, match=r"^duplicate pass 'a' on line 3$"):
         load_catalog("a\nb\na\n")
-    assert err.value.name == "a"
-    assert err.value.line == 3
+
+
+def test_catalog_constructor_duplicate():
+    with pytest.raises(ValidationError, match=r"^duplicate pass '-a'$"):
+        PassCatalog(("-a", "-a"))
 
 
 def test_load_catalog_empty():
-    with pytest.raises(EmptyCatalogError):
+    with pytest.raises(ValidationError, match=r"^catalog contains no passes$"):
         load_catalog("# only comments\n\n")
 
 
 def test_load_catalog_multiple_tokens_per_line():
-    with pytest.raises(MalformedLineError) as err:
+    with pytest.raises(ValidationError, match=r"^malformed line 1: expected one token, got 2$"):
         load_catalog("a b\n")
-    assert err.value.line == 1
 
 
 def test_load_sequence_allows_duplicates():
@@ -63,10 +62,8 @@ def test_load_sequence_empty_input():
 
 def test_load_sequence_unknown_pass():
     cat = load_catalog("a\nb\nc\n")
-    with pytest.raises(UnknownPassError) as err:
+    with pytest.raises(ValidationError, match=r"^pass 'z' on line 1 is not in the catalog$"):
         load_sequence("z\n", cat)
-    assert err.value.name == "z"
-    assert err.value.line == 1
 
 
 def test_catalog_rejects_bad_tokens():
@@ -94,7 +91,7 @@ def test_sequence_round_trip(indices):
 def test_load_sequence_succeeds_iff_members():
     cat = load_catalog("a\nb\n")
     load_sequence("a\nb\na\n", cat)
-    with pytest.raises(UnknownPassError):
+    with pytest.raises(ValidationError, match=r"^pass 'c' on line 2 is not in the catalog$"):
         load_sequence("a\nc\n", cat)
 
 

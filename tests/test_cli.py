@@ -72,6 +72,17 @@ def test_evolve_output_dir_override(tmp_path):
     assert (other / "summary.json").is_file()
 
 
+@pytest.mark.parametrize("name", ["blocker", "blocker/sub"])
+def test_unusable_output_dir_exit_two(tmp_path, capsys, name):
+    config, _ = write_sim_config(tmp_path)
+    (tmp_path / "blocker").write_text("not a directory\n")
+    out_dir = tmp_path / name
+    argv = ["simulate", "--config", str(config), "--trials", "1", "--output-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert f"cannot write output directory {out_dir}: " in capsys.readouterr().err
+    assert (tmp_path / "blocker").read_text() == "not a directory\n"
+
+
 def test_evolve_verbose_generation_lines(tmp_path, capsys):
     config, _ = write_sim_config(tmp_path, trials=1, generations=3)
     assert main(["evolve", "--config", str(config), "--verbose"]) == 0
@@ -251,6 +262,17 @@ def test_stats_malformed_exit_two(tmp_path, capsys):
     data = tmp_path / "junk.txt"
     data.write_text("not numbers here\n")
     assert main(["stats", str(data)]) == 2
+
+    ok_row = '{"status": "ok", "percent_improvement": 1.0}'
+    for text in (
+        '{"trials": [1, 2]}',
+        '{"trials": [{"status": "ok", "percent_improvement": NaN}, %s]}' % ok_row,
+        '{"trials": [{"status": "ok", "percent_improvement": Infinity}, %s]}' % ok_row,
+        "nan 1 2\n",
+    ):
+        data.write_text(text)
+        assert main(["stats", str(data)]) == 2, text
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- input files -------------------------------------------------------------

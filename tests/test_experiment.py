@@ -8,7 +8,6 @@ from passevo.catalog import serialize_catalog, serialize_sequence
 from passevo.errors import ConfigError, ExecutionError
 from passevo.evolution import GAConfig
 from passevo.experiment import (
-    BaselineError,
     ExperimentConfig,
     build_record_fn,
     measure_baseline,
@@ -133,9 +132,13 @@ def test_measure_baseline_broken_external_is_fatal(tmp_path):
         trials=1,
         output_dir=str(tmp_path / "out"),
     )
-    with pytest.raises(BaselineError):
+    broken = (
+        r"^baseline evaluation failed \(run_error\): run failed \(exit 1\):\n"
+        r"passes: -p0 -p1 -p2 -p3 -p4 -p5 -p6 -p7 -p8 -p9\ndeliberate failure\n$"
+    )
+    with pytest.raises(ExecutionError, match=broken):
         measure_baseline(cfg)
-    with pytest.raises(BaselineError):
+    with pytest.raises(ExecutionError, match=broken):
         run_trials(cfg)
 
 

@@ -1,9 +1,17 @@
-"""The README's "Library use" example runs against the package as it is."""
+"""The README's examples run against the package as it is."""
 
 import re
 from pathlib import Path
 
-from passevo import GenerationRecord, apply_individual, simulated_fitness
+from passevo import (
+    GenerationRecord,
+    Patch,
+    PatchType,
+    apply_individual,
+    load_catalog,
+    parse_individual,
+    simulated_fitness,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +27,14 @@ def test_library_use_example_runs():
     assert best.best_fitness == min(record.best_fitness for record in history)
     pipeline = apply_individual(namespace["baseline"], best.best_individual)
     assert simulated_fitness(pipeline, namespace["model"]) == best.best_fitness
+
+
+def test_patch_file_example_parses():
+    section = README.read_text("utf-8").split("**Individual (patch) files**", 1)[1]
+    text = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    individual = parse_individual(text, load_catalog("-gvn\n-sroa\n"))
+    assert individual.patches == (
+        Patch(PatchType.INSERTION, 0.25, "-gvn"),
+        Patch(PatchType.DELETION, 1.0),
+        Patch(PatchType.REPLACEMENT, 0.5, "-sroa"),
+    )

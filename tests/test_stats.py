@@ -5,9 +5,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
+from passevo.errors import ExecutionError, ValidationError
 from passevo.stats import (
-    DegenerateSampleError,
-    NonPositiveBaselineError,
     betainc_regularized,
     percent_improvement,
     student_t_sf,
@@ -46,12 +45,12 @@ def test_percent_improvement_regression_sign():
 
 
 def test_percent_improvement_rejects_bad_baseline():
-    with pytest.raises(NonPositiveBaselineError):
-        percent_improvement(0.0, 1.0)
-    with pytest.raises(NonPositiveBaselineError):
-        percent_improvement(-1.0, 1.0)
-    with pytest.raises(NonPositiveBaselineError):
-        percent_improvement(float("inf"), 1.0)
+    for baseline in (0.0, -1.0, float("inf")):
+        with pytest.raises(
+            ValidationError,
+            match=rf"^baseline runtime must be positive and finite, got {baseline!r}$",
+        ):
+            percent_improvement(baseline, 1.0)
 
 
 @given(st.floats(0.01, 1e6), st.floats(-99.0, 99.0))
@@ -108,7 +107,7 @@ def test_summarize_reported_trial_statistics():
 
 
 def test_summarize_degenerate_samples():
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(ExecutionError, match=r"^no improvement values to summarize$"):
         summarize([])
     # one value, or values with no spread: the mean alone, no t test
     assert astuple(summarize([1.0])) == (1, 1.0, None, None, None)
