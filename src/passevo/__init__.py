@@ -38,7 +38,6 @@ from .patches import (
     apply_individual,
     apply_patch,
     parse_individual,
-    resolve_index,
     serialize_individual,
 )
 from .stats import SummaryStats, percent_improvement, student_t_sf, summarize

@@ -16,6 +16,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -84,7 +85,6 @@ class TrialResult:
     best_fitness: float
     percent_improvement: float
     best_individual: Individual
-    best_sequence: PassSequence
     history: list[GenerationRecord]
     error: str | None = None
 
@@ -162,10 +162,10 @@ def run_trials(
     """Run every trial, write all artifacts under cfg.output_dir.
 
     A trial's best is min(history, key=lambda r: r.best_fitness): the first
-    record of its lowest fitness. A trial that errors out is recorded with
-    its message and skipped by the summary; the summary covers however many
-    trials completed (None if none did; see summarize for too few or too
-    flat improvements).
+    record of its lowest fitness. A trial whose best is not finite is
+    recorded as failed, writes no trial directory and is skipped by the
+    summary; the summary covers however many trials completed (None if none
+    did; see summarize for too few or too flat improvements).
     """
     from .config import write_config
 
@@ -187,38 +187,18 @@ def run_trials(
     results: list[TrialResult] = []
     for index in range(cfg.trials):
         seed = cfg.trial_seed(index)
-        trial_progress = None
-        if progress is not None:
-            trial_progress = lambda rec, _i=index: progress(_i, rec)
-        try:
-            ga = replace(cfg.ga, rng_seed=seed)
-            history = evolve(ga, baseline, catalog, fitness_fn, trial_progress)
-            best = min(history, key=lambda r: r.best_fitness)
-            if not math.isfinite(best.best_fitness):
-                raise ExecutionError("no candidate produced a finite fitness")
+        trial_progress = None if progress is None else partial(progress, index)
+        history = evolve(replace(cfg.ga, rng_seed=seed), baseline, catalog, fitness_fn, trial_progress)
+        best = min(history, key=lambda r: r.best_fitness)
+        if math.isfinite(best.best_fitness):
+            gain = percent_improvement(baseline_fitness, best.best_fitness)
             result = TrialResult(
-                trial_index=index,
-                seed=seed,
-                baseline_fitness=baseline_fitness,
-                best_fitness=best.best_fitness,
-                percent_improvement=percent_improvement(baseline_fitness, best.best_fitness),
-                best_individual=best.best_individual,
-                best_sequence=apply_individual(baseline, best.best_individual),
-                history=history,
+                index, seed, baseline_fitness, best.best_fitness, gain, best.best_individual, history
             )
-            _write_trial(out_root / f"trial_{index}", result)
-        except ExecutionError as exc:
-            result = TrialResult(
-                trial_index=index,
-                seed=seed,
-                baseline_fitness=baseline_fitness,
-                best_fitness=float("nan"),
-                percent_improvement=float("nan"),
-                best_individual=Individual(),
-                best_sequence=baseline,
-                history=[],
-                error=str(exc),
-            )
+            _write_trial(out_root / f"trial_{index}", result, baseline)
+        else:
+            error = "no candidate produced a finite fitness"
+            result = TrialResult(index, seed, baseline_fitness, math.nan, math.nan, Individual(), history, error)
         results.append(result)
 
     improvements = [r.percent_improvement for r in results if r.ok]
@@ -235,14 +215,14 @@ def write_history_csv(history: list[GenerationRecord], path: Path) -> None:
             writer.writerow([rec.generation, repr(rec.best_fitness), repr(rec.mean_fitness)])
 
 
-def _write_trial(trial_dir: Path, result: TrialResult) -> None:
+def _write_trial(trial_dir: Path, result: TrialResult, baseline: PassSequence) -> None:
     trial_dir.mkdir(parents=True, exist_ok=True)
     write_history_csv(result.history, trial_dir / "history.csv")
     (trial_dir / "best_individual.patch").write_text(
         serialize_individual(result.best_individual), "utf-8"
     )
     (trial_dir / "best_sequence.txt").write_text(
-        serialize_sequence(result.best_sequence), "utf-8"
+        serialize_sequence(apply_individual(baseline, result.best_individual)), "utf-8"
     )
 
 

@@ -362,8 +362,9 @@ def build_executable(
 def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | None = None) -> EvaluationRecord:
     """Compile with the candidate sequence and time it runs_per_eval times.
 
-    Total by design: every failure mode comes back as a record, never as an
-    exception. The cache short-circuits repeat evaluations by sequence
+    Total for candidates: every failure of one comes back as a record, never
+    as an exception; a build directory that cannot be created is a
+    ConfigError. The cache short-circuits repeat evaluations by sequence
     digest, repeat links of the same optimized IR, and repeat timings of a
     byte-identical executable (the record is copied under this sequence's
     digest). A record for a tool or program that could not be started is
@@ -377,12 +378,15 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
     hit = cache.get(digest)
     if hit is not None:
         return hit
-    workdir = cfg.workdir or None
-    if workdir is not None:
-        Path(workdir).mkdir(parents=True, exist_ok=True)
+    try:
+        if cfg.workdir:
+            Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
+        build_dir = tempfile.TemporaryDirectory(prefix="passevo-", dir=cfg.workdir or None)
+    except OSError as exc:
+        raise ConfigError(f"cannot create a build directory (see [backend] workdir): {exc}") from exc
     exe_digest = None
     try:
-        with tempfile.TemporaryDirectory(prefix="passevo-", dir=workdir) as tmp:
+        with build_dir as tmp:
             exe = build_executable(seq, cfg, Path(tmp), cache)
             exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
             timed = cache.get_timed(exe_digest)

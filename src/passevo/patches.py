@@ -1,13 +1,13 @@
 """Patch genome and its application semantics.
 
 An individual is an ordered list of patches; each patch edits a pass sequence
-at a relative position in [0, 1]. Insertions address the len+1 gaps between
-elements (position 1.0 appends); deletions and replacements address the len
-elements (position 1.0 targets the last element). Patches are applied in
-genome order and each position is resolved against the sequence as already
-modified by the preceding patches. Deleting or replacing within an empty
-sequence is a silent no-op, so application is total: any genome applies to
-any baseline.
+at a relative position p in [0, 1]. Against a sequence of n passes, an
+insertion goes into gap min(int(p * (n + 1)), n) of the n + 1 gaps (p = 1.0
+appends), and a deletion or replacement hits element min(int(p * n), n - 1)
+(p = 1.0 targets the last element). Patches are applied in genome order and
+each position is resolved against the sequence as already modified by the
+preceding patches. Deleting or replacing within an empty sequence is a
+silent no-op, so application is total: any genome applies to any baseline.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ class PatchType(enum.Enum):
     REPLACEMENT = "replace"
 
 
-_NEEDS_VALUE = {PatchType.INSERTION: True, PatchType.DELETION: False, PatchType.REPLACEMENT: True}
-
-
 @dataclass(frozen=True)
 class Patch:
     """One edit: a type, a relative position, and a pass name for edits that add one."""
@@ -39,7 +36,7 @@ class Patch:
     def __post_init__(self):
         if not 0.0 <= self.position <= 1.0:
             raise ValueError(f"position {self.position!r} outside [0, 1]")
-        if _NEEDS_VALUE[self.ptype]:
+        if self.ptype is not PatchType.DELETION:
             if self.value is None:
                 raise ValueError(f"{self.ptype.value} patch requires a value")
             validate_token(self.value)
@@ -58,24 +55,6 @@ class Individual:
 
     def __iter__(self):
         return iter(self.patches)
-
-
-def resolve_index(position: float, length: int, slot_mode: str) -> int | None:
-    """Map a relative position onto a concrete index.
-
-    'gap' mode addresses the length+1 insertion points and always resolves.
-    'element' mode addresses the length elements; returns None when there is
-    no element to target.
-    """
-    if not 0.0 <= position <= 1.0:
-        raise ValueError(f"position {position!r} outside [0, 1]")
-    if slot_mode == "gap":
-        return min(int(position * (length + 1)), length)
-    if slot_mode == "element":
-        if length == 0:
-            return None
-        return min(int(position * length), length - 1)
-    raise ValueError(f"unknown slot_mode {slot_mode!r}")
 
 
 def _trusted_patch(ptype: PatchType, position: float, value: str | None) -> Patch:
@@ -110,16 +89,15 @@ def apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:
         return baseline
     passes = list(baseline.passes)
     for patch in ind.patches:
+        n = len(passes)
         if patch.ptype is PatchType.INSERTION:
-            passes.insert(resolve_index(patch.position, len(passes), "gap"), patch.value)
-            continue
-        i = resolve_index(patch.position, len(passes), "element")
-        if i is None:
-            continue
-        if patch.ptype is PatchType.DELETION:
-            del passes[i]
-        else:
-            passes[i] = patch.value
+            passes.insert(min(int(patch.position * (n + 1)), n), patch.value)
+        elif n:
+            i = min(int(patch.position * n), n - 1)
+            if patch.ptype is PatchType.DELETION:
+                del passes[i]
+            else:
+                passes[i] = patch.value
     return _trusted_sequence(tuple(passes))
 
 

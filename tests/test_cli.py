@@ -224,6 +224,49 @@ def test_baseline_timeout_exit_one(tmp_path, capsys):
     assert "timeout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evolve", "baseline"])
+def test_unusable_workdir_exit_two(tmp_path, capsys, command):
+    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
+    (tmp_path / "blocker").write_text("not a directory\n")
+    workdir = tmp_path / "blocker" / "sub"
+    config = tmp_path / "ext.ini"
+    config.write_text(
+        external_config_text(tmp_path, catalog_path, baseline_path, tmp_path / "out")
+        + f"workdir = {workdir}\n"
+    )
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create a build directory")
+    assert str(workdir) in err
+
+
+def test_all_trials_failed_exit_one(tmp_path, capsys):
+    # the fake optimizer rejects '-broken' and the baseline is empty, so a
+    # candidate builds only if its deletes undo all its inserts; no 8-gene
+    # genome that seeds 1 and 2 draw does
+    catalog_path, baseline_path = tmp_path / "catalog.txt", tmp_path / "baseline.txt"
+    catalog_path.write_text("-broken\n")
+    baseline_path.write_text("")
+    out_dir = tmp_path / "out"
+    text = external_config_text(
+        tmp_path, catalog_path, baseline_path, out_dir,
+        runs_per_eval=1, trials=2, generations=1, population_size=1,
+    )
+    config = tmp_path / "fail.ini"
+    ga_extra = "elitism_count = 0\ninit_genome_len_min = 8\ninit_genome_len_max = 8\n"
+    config.write_text(text.replace("\n[ga]\n", "\n[ga]\n" + ga_extra))
+    assert main(["evolve", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "trial 0 (seed 1): FAILED: no candidate produced a finite fitness",
+        "trial 1 (seed 2): FAILED: no candidate produced a finite fitness",
+    ]
+    assert captured.err == "warning: 2 of 2 trials failed\nall trials failed\n"
+    doc = json.loads((out_dir / "summary.json").read_text())
+    assert doc["summary"] is None
+    assert [t["status"] for t in doc["trials"]] == ["failed", "failed"]
+
+
 # --- stats -------------------------------------------------------------------
 
 def test_stats_eight_reported_values(tmp_path, capsys):

@@ -62,6 +62,29 @@ def test_default_section_exits_two(tmp_path, capsys):
     assert "[DEFAULT]" in capsys.readouterr().err
 
 
+def test_unparsable_config_exits_two(tmp_path, capsys):
+    config = tmp_path / "headless.ini"
+    config.write_text("trials = 2\n")
+    assert main(["evolve", "--config", str(config)]) == 2
+    assert "config parse error" in capsys.readouterr().err
+
+
+def test_seed_flag_adds_a_missing_ga_section(tmp_path):
+    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path)
+    out_dir = tmp_path / "out"
+    config = tmp_path / "no_ga.ini"
+    config.write_text(
+        "[experiment]\n"
+        f"catalog_path = {catalog_path}\n"
+        f"baseline_path = {baseline_path}\n"
+        "trials = 1\n"
+        f"output_dir = {out_dir}\n"
+        "\n[backend]\nkind = simulated\n"
+    )
+    assert main(["simulate", "--config", str(config), "--seed", "7"]) == 0
+    assert "\nrng_seed = 7\n" in (out_dir / "effective_config.ini").read_text()
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL + "typo_rate = 0.5\n")

@@ -6,7 +6,7 @@ import pytest
 import passevo.experiment as experiment_mod
 from passevo.catalog import serialize_catalog, serialize_sequence
 from passevo.errors import ConfigError, ExecutionError
-from passevo.evolution import GAConfig
+from passevo.evolution import GAConfig, GenerationRecord
 from passevo.experiment import (
     ExperimentConfig,
     build_record_fn,
@@ -14,7 +14,8 @@ from passevo.experiment import (
     resolve_catalog,
     run_trials,
 )
-from passevo.fitness import BackendConfig, perturb_sequence
+from passevo.fitness import PENALTY, BackendConfig, perturb_sequence
+from passevo.patches import Individual
 
 from conftest import fake_backend, make_catalog, make_sequence, write_test_inputs
 
@@ -147,22 +148,31 @@ def test_failed_trial_recorded_and_summary_adjusted(tmp_path, monkeypatch):
     real_evolve = experiment_mod.evolve
     calls = {"n": 0}
 
+    # the second trial finds nothing with a finite fitness
+    hopeless = [GenerationRecord(0, PENALTY, PENALTY, Individual())]
+
     def flaky_evolve(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] == 2:
-            raise ExecutionError("injected trial failure")
+            return hopeless
         return real_evolve(*args, **kwargs)
 
     monkeypatch.setattr(experiment_mod, "evolve", flaky_evolve)
     results, summary = run_trials(cfg)
     assert [r.ok for r in results] == [True, False, True]
-    assert results[1].error == "injected trial failure"
+    assert results[1].error == "no candidate produced a finite fitness"
+    assert results[1].history == hopeless
     assert summary is not None
     assert summary.n == 2
 
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert doc["trials"][1]["status"] == "failed"
-    assert "injected" in doc["trials"][1]["error"]
+    assert doc["trials"][1] == {
+        "error": "no candidate produced a finite fitness",
+        "seed": 2,
+        "status": "failed",
+        "trial_index": 1,
+    }
+    assert not (tmp_path / "out" / "trial_1").exists()
 
 
 def test_single_trial_summary_has_no_t_test(tmp_path):

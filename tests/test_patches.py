@@ -13,7 +13,6 @@ from passevo.patches import (
     apply_individual,
     apply_patch,
     parse_individual,
-    resolve_index,
     serialize_individual,
 )
 
@@ -67,41 +66,43 @@ def random_corpus(cases: int, rng: random.Random, catalog_size: int = 6,
         yield PassSequence(baseline), Individual(tuple(patches))
 
 
-# --- resolve_index -----------------------------------------------------------
+# --- apply_patch -------------------------------------------------------------
 
-def test_resolve_index_element_bounds():
-    assert resolve_index(0.0, 5, "element") == 0
-    assert resolve_index(1.0, 5, "element") == 4
-    assert resolve_index(0.3, 0, "element") is None
+FIVE = ("a", "b", "c", "d", "e")
 
 
-def test_resolve_index_gap():
-    # floor(0.5 * 6) = 3
-    assert resolve_index(0.5, 5, "gap") == 3
-    assert resolve_index(0.0, 0, "gap") == 0
-    assert resolve_index(1.0, 0, "gap") == 0
-    assert resolve_index(1.0, 5, "gap") == 5
+def test_apply_patch_element_bounds():
+    assert apply_patch(seq(*FIVE), Patch(PatchType.REPLACEMENT, 0.0, "x")).passes == ("x", "b", "c", "d", "e")
+    assert apply_patch(seq(*FIVE), Patch(PatchType.REPLACEMENT, 1.0, "x")).passes == ("a", "b", "c", "d", "x")
+    assert apply_patch(seq(), Patch(PatchType.REPLACEMENT, 0.3, "x")).passes == ()
+    assert apply_patch(seq(), Patch(PatchType.DELETION, 0.3)).passes == ()
 
 
-def test_resolve_index_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        resolve_index(1.5, 5, "gap")
-    with pytest.raises(ValueError):
-        resolve_index(0.5, 5, "middle")
+def test_apply_patch_gap_bounds():
+    # gap index = min(floor(0.5 * 6), 5) = 3
+    out = apply_patch(seq(*FIVE), Patch(PatchType.INSERTION, 0.5, "x"))
+    assert out.passes == ("a", "b", "c", "x", "d", "e")
+    assert apply_patch(seq(), Patch(PatchType.INSERTION, 0.0, "x")).passes == ("x",)
+    assert apply_patch(seq(), Patch(PatchType.INSERTION, 1.0, "x")).passes == ("x",)
+    assert apply_patch(seq(*FIVE), Patch(PatchType.INSERTION, 1.0, "x")).passes == FIVE + ("x",)
 
 
 @given(st.floats(0, 1, allow_nan=False), st.integers(0, 50))
-def test_resolve_index_ranges(position, length):
-    gap = resolve_index(position, length, "gap")
+def test_apply_patch_index_ranges(position, length):
+    # distinct names, so the edited index can be read back off the result
+    base = seq(*(f"-p{i}" for i in range(length)))
+    inserted = apply_patch(base, Patch(PatchType.INSERTION, position, "x")).passes
+    gap = inserted.index("x")
     assert 0 <= gap <= length
-    element = resolve_index(position, length, "element")
-    if length == 0:
-        assert element is None
-    else:
+    assert inserted[:gap] + inserted[gap + 1 :] == base.passes
+    replaced = apply_patch(base, Patch(PatchType.REPLACEMENT, position, "x")).passes
+    assert len(replaced) == length
+    if length:
+        element = replaced.index("x")
         assert 0 <= element <= length - 1
+        assert replaced[:element] == base.passes[:element]
+        assert replaced[element + 1 :] == base.passes[element + 1 :]
 
-
-# --- apply_patch -------------------------------------------------------------
 
 def test_apply_patch_front_insertion():
     out = apply_patch(seq("a", "b", "c", "d", "e"), Patch(PatchType.INSERTION, 0.0, "x"))
@@ -215,14 +216,15 @@ def test_length_algebra_and_closure_on_corpus():
 # --- the one-list fold against a one-patch-at-a-time tuple-slicing fold -----
 
 def slicing_apply_patch(seq: PassSequence, patch: Patch) -> PassSequence:
-    """The earlier apply_patch body: each patch slices a new tuple."""
-    passes = seq.passes
+    """Apply one patch by slicing a new tuple, with the index formulas written
+    out here rather than taken from the code under test."""
+    passes, n = seq.passes, len(seq.passes)
     if patch.ptype is PatchType.INSERTION:
-        i = resolve_index(patch.position, len(passes), "gap")
+        i = min(int(patch.position * (n + 1)), n)
         return _trusted_sequence(passes[:i] + (patch.value,) + passes[i:])
-    i = resolve_index(patch.position, len(passes), "element")
-    if i is None:
+    if n == 0:
         return seq
+    i = min(int(patch.position * n), n - 1)
     if patch.ptype is PatchType.DELETION:
         return _trusted_sequence(passes[:i] + passes[i + 1 :])
     return _trusted_sequence(passes[:i] + (patch.value,) + passes[i + 1 :])
