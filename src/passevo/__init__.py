@@ -29,6 +29,7 @@ from .fitness import (
     evaluate,
     sequence_digest,
     simulated_fitness,
+    simulated_fitnesses,
     time_execution,
 )
 from .patches import (

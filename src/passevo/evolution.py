@@ -3,9 +3,12 @@
 Fitness is minimized (mean runtime in seconds). The loop is fully
 deterministic given the seed: a single random.Random instance drives every
 stochastic decision in a fixed order, and fitness evaluation never touches
-it. Tournament selection, one-point crossover and a mixed mutation operator
-(gene edits plus append/remove structural edits) are deliberately plain; all
-rates and sizes live in GAConfig and none of the defaults is canonical.
+it. Each generation is scored in one batch: FitnessFn takes the whole
+population's pass sequences and returns one fitness per sequence, in order,
+so a backend can score them together. Tournament selection, one-point
+crossover and a mixed mutation operator (gene edits plus append/remove
+structural edits) are deliberately plain; all rates and sizes live in
+GAConfig and none of the defaults is canonical.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ class GenerationRecord:
     best_individual: Individual
 
 
-FitnessFn = Callable[[PassSequence], float]
+FitnessFn = Callable[[list[PassSequence]], list[float]]
 ProgressFn = Callable[[GenerationRecord], None]
 
 
@@ -156,15 +159,19 @@ def evolve(
     """Run the generational loop; returns one record per generation, in order.
     The run's best-ever is min(history, key=lambda r: r.best_fitness).
 
-    fitness_fn must be total: failed evaluations come back as a penalty value,
-    never as an exception, so one broken candidate cannot abort the run.
+    fitness_fn scores each generation in one call (module docstring); a result
+    of another length is a ValueError. It must be total: failed evaluations
+    come back as a penalty value, never as an exception, so one broken
+    candidate cannot abort the run.
     """
     rng = random.Random(cfg.rng_seed)
     population = init_population(cfg, catalog, rng)
     history: list[GenerationRecord] = []
 
     for generation in range(cfg.generations):
-        fitnesses = [fitness_fn(apply_individual(baseline, ind)) for ind in population]
+        fitnesses = fitness_fn([apply_individual(baseline, ind) for ind in population])
+        if len(fitnesses) != len(population):
+            raise ValueError(f"fitness_fn returned {len(fitnesses)} values for {len(population)} sequences")
         gen_best = min(range(len(population)), key=lambda i: fitnesses[i])
         record = GenerationRecord(
             generation=generation,

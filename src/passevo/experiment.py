@@ -41,6 +41,7 @@ from .fitness import (
     evaluate,
     perturb_sequence,
     sequence_digest,
+    simulated_fitnesses,
     simulated_record,
 )
 from .patches import Individual, apply_individual, serialize_individual
@@ -106,39 +107,47 @@ def resolve_sequence(path: str, catalog: PassCatalog) -> PassSequence:
 
 
 RecordFn = Callable[[PassSequence], EvaluationRecord]
+RecordsFn = Callable[[list[PassSequence]], list[EvaluationRecord]]
 
 
-def build_record_fn(
-    backend: BackendConfig,
-    catalog: PassCatalog,
-    baseline: PassSequence,
-    cache_path: Path | None = None,
-) -> RecordFn:
-    """Wire a backend config into a memoized sequence -> record function.
+def build_records_fn(
+    backend: BackendConfig, catalog: PassCatalog, baseline: PassSequence, cache_path: Path | None = None
+) -> RecordsFn:
+    """Wire a backend config into a memoized batch: sequences -> one record each, in order.
 
-    Only the external backend persists its records, at `cache_path`."""
+    The simulated batch scores the distinct sequences its memo lacks in one
+    simulated_fitnesses call. The external batch evaluates the sequences in
+    order, and only it persists its records, at `cache_path`."""
     if backend.kind == KIND_SIMULATED:
         rng = random.Random(backend.sim_target_seed)
         target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
         model = SimModel(target=target, base_runtime=backend.sim_base_runtime)
         memo: dict[str, EvaluationRecord] = {}
 
-        def record_fn(seq: PassSequence) -> EvaluationRecord:
-            digest = sequence_digest(seq)
-            hit = memo.get(digest)
-            if hit is None:
-                hit = memo[digest] = simulated_record(seq, model)
-            return hit
+        def records_fn(seqs: list[PassSequence]) -> list[EvaluationRecord]:
+            digests = [sequence_digest(seq) for seq in seqs]
+            fresh = {digest: seq for digest, seq in zip(digests, seqs) if digest not in memo}
+            for digest, value in zip(fresh, simulated_fitnesses(list(fresh.values()), model)):
+                memo[digest] = simulated_record(digest, value)
+            return [memo[digest] for digest in digests]
 
-        return record_fn
+        return records_fn
 
     cache = EvaluationCache(cache_path)
-    return lambda seq: evaluate(seq, backend, cache)
+    return lambda seqs: [evaluate(seq, backend, cache) for seq in seqs]
 
 
-def _score_baseline(record_fn: RecordFn, baseline: PassSequence) -> EvaluationRecord:
+def build_record_fn(
+    backend: BackendConfig, catalog: PassCatalog, baseline: PassSequence, cache_path: Path | None = None
+) -> RecordFn:
+    """build_records_fn for one sequence at a time."""
+    records_fn = build_records_fn(backend, catalog, baseline, cache_path)
+    return lambda seq: records_fn([seq])[0]
+
+
+def _score_baseline(records_fn: RecordsFn, baseline: PassSequence) -> EvaluationRecord:
     """Score the unmodified baseline; a broken baseline is fatal."""
-    record = record_fn(baseline)
+    [record] = records_fn([baseline])
     if record.status is not EvaluationStatus.OK:
         raise ExecutionError(
             f"baseline evaluation failed ({record.status.value}): {record.diagnostics}"
@@ -150,7 +159,7 @@ def measure_baseline(cfg: ExperimentConfig) -> EvaluationRecord:
     """Score the unmodified baseline once, without writing any artifact."""
     catalog = resolve_catalog(cfg.catalog_path)
     baseline = resolve_sequence(cfg.baseline_path, catalog)
-    return _score_baseline(build_record_fn(cfg.backend, catalog, baseline), baseline)
+    return _score_baseline(build_records_fn(cfg.backend, catalog, baseline), baseline)
 
 
 ProgressFn = Callable[[int, GenerationRecord], None]
@@ -179,10 +188,10 @@ def run_trials(
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {cfg.output_dir}: {exc}") from exc
 
-    record_fn = build_record_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
-    fitness_fn = lambda seq: record_fn(seq).fitness
+    records_fn = build_records_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
+    fitness_fn = lambda seqs: [record.fitness for record in records_fn(seqs)]
 
-    baseline_fitness = _score_baseline(record_fn, baseline).fitness
+    baseline_fitness = _score_baseline(records_fn, baseline).fitness
 
     results: list[TrialResult] = []
     for index in range(cfg.trials):

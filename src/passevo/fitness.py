@@ -32,6 +32,18 @@ Every failure of a build stage or a timed run passes through one
 EvaluationFailure, which evaluate turns into the penalty record. A tool or
 program that could not be started at all is a fault of the environment,
 not of the candidate, so that record is never cached.
+
+The simulated landscape scores a batch by edit distance to a hidden target
+in one pass of Myers' bit-vector recurrence ("A fast bit-vector algorithm for
+approximate string matching based on dynamic programming", JACM 1999), in
+its global form with the target on the row side, one candidate per lane of a
+big integer: the multiple-pattern packing of Hyyro, Fredriksson and Navarro
+("Increased bit-parallelism for approximate and multiple string matching",
+ACM JEA 2006). Lane k is bytes k*w .. k*w+w-1, w = len(target) // 8 + 1, so
+at least one guard bit sits above the target's rows; `& full` clears guard
+bits before they reach pv, so carries and shifts stay in their lane. Column
+j feeds each lane its candidate's j-th element, and a lane is read, len(b) +
+popcount(pv) - popcount(mv), at the column where its candidate ends.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import repeat, zip_longest
 from pathlib import Path
 
 from .catalog import PassCatalog, PassSequence
@@ -421,94 +434,83 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
     return cache.put(record, exe_digest)
 
 
-def masks_of(a: tuple[str, ...]) -> dict[str, int]:
-    """Myers' match masks of `a`: bit i of masks[x] is set where a[i] == x."""
+def match_lanes(a: tuple[str, ...]) -> dict[str, bytes]:
+    """The lane of each symbol x of `a`: len(a) // 8 + 1 bytes, bit i set where a[i] == x."""
     masks: dict[str, int] = {}
     for i, x in enumerate(a):
         masks[x] = masks.get(x, 0) | (1 << i)
-    return masks
+    return {x: mask.to_bytes(len(a) // 8 + 1, "little") for x, mask in masks.items()}
 
 
-def edit_distance(a: tuple[str, ...], b: tuple[str, ...], masks: dict[str, int] | None = None) -> int:
-    """Element-level Levenshtein distance (insert/delete/substitute).
+def edit_distances(
+    a: tuple[str, ...], bs: list[tuple[str, ...]], lanes: dict[str, bytes] | None = None
+) -> list[int]:
+    """Element-level Levenshtein distance from `a` to each of `bs`, one lane each (module docstring).
 
-    Exact for any lengths: trim, then bit-parallel. The common prefix and
-    suffix are stripped first (they never change the distance), and what is
-    left runs through Myers' bit-vector recurrence in its global form, one
-    big-integer step per element of `b` (G. Myers, "A fast bit-vector
-    algorithm for approximate string matching based on dynamic
-    programming", JACM 1999).
-
-    `masks` must be masks_of(a) for the whole untrimmed `a`; a caller that
-    measures many sequences against one `a` passes them in to build them
-    once. They are shifted down past the trimmed prefix. Bits left above
-    the rows of the trimmed suffix are harmless: a match mask reaches the
-    column state only through `& pv`, `& mask` or `ph & xv`, all of which
-    are zero there.
-    """
-    lo, hi_a, hi_b = 0, len(a), len(b)
-    while lo < hi_a and lo < hi_b and a[lo] == b[lo]:
-        lo += 1
-    while hi_a > lo and hi_b > lo and a[hi_a - 1] == b[hi_b - 1]:
-        hi_a -= 1
-        hi_b -= 1
-    m = hi_a - lo
-    if m == 0 or hi_b == lo:
-        return m + hi_b - lo
-
-    # masks[x] >> lo: bit i set where a[lo + i] == x. Column state: pv/mv
-    # mark the rows whose vertical delta D[i][j] - D[i-1][j] is +1/-1.
-    if masks is None:
-        masks = masks_of(a)
-    mask = (1 << m) - 1
-    top = 1 << (m - 1)
-    pv, mv, score = mask, 0, m
-    for y in b[lo:hi_b]:
-        eq = masks.get(y, 0) >> lo
+    `lanes` must be match_lanes(a); build them once to measure many batches against one `a`."""
+    if lanes is None:
+        lanes = match_lanes(a)
+    m, n, width = len(a), len(bs), len(a) // 8 + 1
+    zero, row_mask = bytes(width), (1 << m) - 1
+    full = int.from_bytes(row_mask.to_bytes(width, "little") * n, "little")
+    ones = int.from_bytes(b"\x01".ljust(width, b"\0") * n, "little")
+    ends: dict[int, list[int]] = {}
+    for k, b in enumerate(bs):
+        ends.setdefault(len(b), []).append(k)
+    out = [m] * n
+    # pv/mv mark the rows whose vertical delta D[i][j] - D[i-1][j] is +1/-1.
+    pv, mv = full, 0
+    for j, column in enumerate(zip_longest(*bs), 1):
+        eq = int.from_bytes(b"".join(map(lanes.get, column, repeat(zero))), "little")
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
+        ph = mv | (~(xh | pv) & full)
         mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
-        # Row 0 is D[0][j] = j, so its horizontal delta is always +1.
-        ph = ((ph << 1) | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
+        ph = (ph << 1) | ones  # ph's guard bits reach pv and mv only through & full and & xv
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
         mv = ph & xv
-    return score
+        for k in ends.get(j, ()):
+            shift = 8 * width * k
+            out[k] = j + ((pv >> shift) & row_mask).bit_count() - ((mv >> shift) & row_mask).bit_count()
+    return out
+
+
+def edit_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """edit_distances for one candidate."""
+    return edit_distances(a, [b])[0]
 
 
 @dataclass(frozen=True)
 class SimModel:
     """Hidden-target landscape: fitness grows with distance from the target.
 
-    The target's match masks are built once, here, for every edit_distance
-    call that measures a candidate against it.
-    """
+    The target's match lanes are built once, here, for every batch measured against it."""
 
     target: PassSequence
     base_runtime: float
-    masks: dict[str, int] = field(init=False, repr=False, compare=False)
+    lanes: dict[str, bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.base_runtime < math.inf:
             raise ValueError("base_runtime must be finite and > 0")
-        object.__setattr__(self, "masks", masks_of(self.target.passes))
+        object.__setattr__(self, "lanes", match_lanes(self.target.passes))
+
+
+def simulated_fitnesses(seqs: list[PassSequence], model: SimModel) -> list[float]:
+    # The distance is symmetric, so the target takes the row side and its lanes.
+    distances = edit_distances(model.target.passes, [seq.passes for seq in seqs], model.lanes)
+    return [model.base_runtime * (1.0 + d / max(len(model.target), 1)) for d in distances]
 
 
 def simulated_fitness(seq: PassSequence, model: SimModel) -> float:
-    # The distance is symmetric, so the target takes the row side and its masks.
-    distance = edit_distance(model.target.passes, seq.passes, model.masks)
-    return model.base_runtime * (1.0 + distance / max(len(model.target), 1))
+    return simulated_fitnesses([seq], model)[0]
 
 
-def simulated_record(seq: PassSequence, model: SimModel) -> EvaluationRecord:
-    value = simulated_fitness(seq, model)
+def simulated_record(digest: str, value: float) -> EvaluationRecord:
+    """The record of the sequence with this digest, which the simulated landscape scored `value`."""
     return EvaluationRecord(
-        sequence_digest=sequence_digest(seq),
+        sequence_digest=digest,
         runs=1,
         samples=(value,),
         mean=value,

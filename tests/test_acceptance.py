@@ -275,7 +275,7 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
     cache = EvaluationCache()
     small = replace(cfg, runs_per_eval=1)
     ga = GAConfig(population_size=3, generations=1, elitism_count=1, rng_seed=8)
-    evolve(ga, baseline_seq, poisoned_catalog, lambda s: evaluate(s, small, cache).fitness)
+    evolve(ga, baseline_seq, poisoned_catalog, lambda seqs: [evaluate(s, small, cache).fitness for s in seqs])
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

@@ -1,16 +1,23 @@
-"""Byte-identity pin for the full simulated demo (configs/simulated.ini).
+"""Byte-identity pins for the simulated backend.
 
 The digests in simulated_demo_digests.json were recorded with the
 full-matrix edit distance and per-token validation on every sequence, so they
-hold the trimmed bit-parallel distance and validate-once sequences to the
-same artifacts, byte for byte.
+hold the lane-packed bit-parallel distance and validate-once sequences to the
+same artifacts, byte for byte. The low-reuse sim-fresh configuration, far
+from its target and with few repeats, is pinned against the benchmark's
+committed reference, which this file only reads.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from passevo.cli import main
+from passevo.config import load_config
+from passevo.experiment import run_trials
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = json.loads((Path(__file__).parent / "simulated_demo_digests.json").read_text("utf-8"))
@@ -31,3 +38,19 @@ def test_pinned_digests_agree_with_benchmark_reference():
     for k in range(8):
         for file in ("best_individual.patch", "best_sequence.txt", "history.csv"):
             assert per_seed[str(42 + k)]["trial_0/" + file] == DIGESTS[f"trial_{k}/{file}"]
+
+
+@pytest.mark.parametrize("seed", range(42, 50))
+def test_sim_fresh_artifacts_match_benchmark_reference(tmp_path, seed):
+    expected = json.loads((ROOT / "perfbench" / "sim" / "reference.json").read_text("utf-8"))["sim-fresh"]
+    cfg = load_config(ROOT / "perfbench" / "sim" / "sim-fresh.ini")
+    out = tmp_path / "sim-fresh"
+    run_trials(replace(
+        cfg, catalog_path=str(ROOT / cfg.catalog_path), baseline_path=str(ROOT / cfg.baseline_path),
+        output_dir=str(out), trials=1, seeds=(seed,),
+    ))
+    digests = expected["digests"][str(seed)]
+    actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+    assert actual == digests
+    written = {str(path.relative_to(out)) for path in (out / "trial_0").iterdir()} | {"summary.json"}
+    assert written == set(digests)

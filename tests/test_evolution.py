@@ -12,7 +12,7 @@ from passevo.evolution import (
     random_patch,
     tournament_select,
 )
-from passevo.fitness import SimModel, perturb_sequence, simulated_fitness
+from passevo.fitness import SimModel, perturb_sequence, simulated_fitness, simulated_fitnesses
 from passevo.patches import (
     Individual,
     Patch,
@@ -224,7 +224,7 @@ def test_evolve_degenerate_single_individual():
     baseline = make_sequence(catalog, [0, 1])
     cfg = GAConfig(population_size=1, generations=1, elitism_count=0, rng_seed=5)
     initial = init_population(cfg, catalog, random.Random(5))
-    history = evolve(cfg, baseline, catalog, lambda seq: float(len(seq)))
+    history = evolve(cfg, baseline, catalog, lambda seqs: [float(len(seq)) for seq in seqs])
     assert len(history) == 1
     assert history[0].best_individual == initial[0]
 
@@ -232,7 +232,7 @@ def test_evolve_degenerate_single_individual():
 def test_evolve_hidden_target_regression():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=30, generations=30, rng_seed=42)
-    history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    history = evolve(cfg, baseline, catalog, lambda seqs: simulated_fitnesses(seqs, model))
     # frozen outcome of this exact seeded run
     assert history[0].best_fitness == 1.2
     best = min(history, key=lambda r: r.best_fitness)
@@ -243,7 +243,7 @@ def test_evolve_hidden_target_regression():
 def test_evolve_history_shape_and_monotone_best():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=20, generations=12, elitism_count=1, rng_seed=3)
-    records = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    records = evolve(cfg, baseline, catalog, lambda seqs: simulated_fitnesses(seqs, model))
     assert len(records) == cfg.generations
     assert [r.generation for r in records] == list(range(cfg.generations))
     for earlier, later in zip(records, records[1:]):
@@ -254,29 +254,40 @@ def test_evolve_history_shape_and_monotone_best():
 def test_evolve_fully_deterministic():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=15, generations=8, rng_seed=77)
-    fn = lambda s: simulated_fitness(s, model)
+    fn = lambda seqs: simulated_fitnesses(seqs, model)
     assert evolve(cfg, baseline, catalog, fn) == evolve(cfg, baseline, catalog, fn)
 
 
 def test_evolve_fitness_call_budget():
+    # one batch per generation, of the whole population's pipelines in order
     catalog, baseline, model = hidden_target_setup()
-    calls = 0
+    batches = []
 
-    def counting_fitness(seq):
-        nonlocal calls
-        calls += 1
-        return simulated_fitness(seq, model)
+    def counting_fitness(seqs):
+        batches.append(seqs)
+        return simulated_fitnesses(seqs, model)
 
     cfg = GAConfig(population_size=10, generations=5, rng_seed=1)
-    evolve(cfg, baseline, catalog, counting_fitness)
-    assert calls == cfg.population_size * cfg.generations
+    history = evolve(cfg, baseline, catalog, counting_fitness)
+    assert [len(batch) for batch in batches] == [cfg.population_size] * cfg.generations
+    for batch, record in zip(batches, history):
+        best = apply_individual(baseline, record.best_individual)
+        assert best in batch and min(simulated_fitnesses(batch, model)) == record.best_fitness
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_evolve_rejects_a_fitness_batch_of_the_wrong_length(extra):
+    catalog, baseline, _ = hidden_target_setup()
+    cfg = GAConfig(population_size=6, generations=2, rng_seed=1)
+    with pytest.raises(ValueError, match=f"returned {6 + extra} values for 6 sequences"):
+        evolve(cfg, baseline, catalog, lambda seqs: [1.0] * (len(seqs) + extra))
 
 
 def test_evolve_genomes_bounded_every_generation():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=12, generations=10, max_genome_len=6,
                    init_genome_len_min=1, init_genome_len_max=6, rng_seed=13)
-    history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    history = evolve(cfg, baseline, catalog, lambda seqs: simulated_fitnesses(seqs, model))
     for record in history:
         assert len(record.best_individual) <= cfg.max_genome_len
         for patch in record.best_individual:
@@ -290,7 +301,7 @@ def test_ga_built_genes_pass_the_public_checks(seed):
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=12, generations=15, mutation_rate=1.0,
                    per_gene_mutation_rate=1.0, rng_seed=seed)
-    history = evolve(cfg, baseline, catalog, lambda s: simulated_fitness(s, model))
+    history = evolve(cfg, baseline, catalog, lambda seqs: simulated_fitnesses(seqs, model))
     genes = 0
     for record in history:
         ind = record.best_individual

@@ -10,11 +10,12 @@ from passevo.evolution import GAConfig, GenerationRecord
 from passevo.experiment import (
     ExperimentConfig,
     build_record_fn,
+    build_records_fn,
     measure_baseline,
     resolve_catalog,
     run_trials,
 )
-from passevo.fitness import PENALTY, BackendConfig, perturb_sequence
+from passevo.fitness import PENALTY, BackendConfig, perturb_sequence, sequence_digest
 from passevo.patches import Individual
 
 from conftest import fake_backend, make_catalog, make_sequence, write_test_inputs
@@ -237,3 +238,39 @@ def test_simulated_record_fn_memoizes(tmp_path):
     backend = BackendConfig(kind="simulated", sim_target_edits=1)
     record_fn = build_record_fn(backend, catalog, baseline)
     assert record_fn(baseline) is record_fn(baseline)
+
+
+def test_simulated_records_fn_scores_each_fresh_sequence_once(tmp_path, monkeypatch):
+    _, _, catalog, baseline = write_test_inputs(tmp_path)
+    backend = BackendConfig(kind="simulated", sim_target_edits=1)
+    scored = []
+    real = experiment_mod.simulated_fitnesses
+
+    def recording(seqs, model):
+        scored.extend(seqs)
+        return real(seqs, model)
+
+    monkeypatch.setattr(experiment_mod, "simulated_fitnesses", recording)
+    records_fn = build_records_fn(backend, catalog, baseline)
+    other = make_sequence(catalog, [0, 1])
+    first = records_fn([baseline, other, baseline])
+    assert first[0] is first[2]
+    assert [r.sequence_digest for r in first] == [sequence_digest(s) for s in (baseline, other, baseline)]
+    second = records_fn([other, baseline])
+    assert second[0] is first[1] and second[1] is first[0]
+    assert scored == [baseline, other]
+    one = build_record_fn(backend, catalog, baseline)
+    assert [one(s) for s in (baseline, other)] == first[:2]
+
+
+def test_external_records_fn_keeps_request_order(tmp_path):
+    _, _, catalog, baseline = write_test_inputs(tmp_path, 6, 3)
+    backend = fake_backend(tmp_path, behavior="ok", runs_per_eval=1)
+    cache_file = tmp_path / "eval_cache.jsonl"
+    records_fn = build_records_fn(backend, catalog, baseline, cache_file)
+    seqs = [make_sequence(catalog, [2]), baseline, make_sequence(catalog, [2]), make_sequence(catalog, [0, 4])]
+    records = records_fn(seqs)
+    assert [r.sequence_digest for r in records] == [sequence_digest(s) for s in seqs]
+    assert records[0] == records[2]
+    rows = [json.loads(line)["digest"] for line in cache_file.read_text().splitlines()]
+    assert rows == [sequence_digest(s) for s in (seqs[0], seqs[1], seqs[3])]

@@ -23,13 +23,15 @@ from passevo.fitness import (
     RunResult,
     SimModel,
     edit_distance,
+    edit_distances,
     evaluate,
     expand_command,
     ir_digest,
-    masks_of,
+    match_lanes,
     perturb_sequence,
     sequence_digest,
     simulated_fitness,
+    simulated_fitnesses,
     simulated_record,
     time_execution,
 )
@@ -117,7 +119,7 @@ def test_edit_distance_is_symmetric(pair):
 
 
 def test_edit_distance_crosses_word_boundaries():
-    # after trimming the shared "x"/"y" ends, `a` keeps a core of exactly n tokens
+    # the shared "x"/"y" ends wrap a core of exactly n tokens
     rng = random.Random(7)
     for n in (63, 64, 65, 130):
         a = ("a",) + tuple(rng.choice("ab") for _ in range(n - 2)) + ("a",)
@@ -139,19 +141,65 @@ def trimmed_pairs(draw):
 
 
 @given(st.one_of(trimmed_pairs(), token_pairs(), edited_pairs()))
-def test_edit_distance_with_untrimmed_masks_matches_oracle(pair):
-    # the masks cover all of `a`; the prefix trim shifts them and the rows of
-    # the trimmed suffix stay set above the core
+def test_edit_distance_on_shared_ends_matches_oracle(pair):
     a, b = pair
-    expected = matrix_edit_distance(a, b)
-    assert edit_distance(a, b, masks_of(a)) == edit_distance(a, b) == expected
+    assert edit_distance(a, b) == edit_distance(b, a) == matrix_edit_distance(a, b)
 
 
-def test_edit_distance_with_masks_edge_cases():
+def test_edit_distance_edge_cases():
     for a, b in [((), ()), ((), ("a",)), (("a",), ()), (("a", "a"), ("a",)),
                  (("a", "b", "a"), ("a", "a")), (("b", "a", "b"), ("b", "b", "b"))]:
-        assert edit_distance(a, b, masks_of(a)) == matrix_edit_distance(a, b)
-    assert masks_of(("a", "b", "a")) == {"a": 0b101, "b": 0b010}
+        assert edit_distance(a, b) == matrix_edit_distance(a, b)
+    assert match_lanes(("a", "b", "a")) == {"a": b"\x05", "b": b"\x02"}
+    assert match_lanes(tuple("a" * 8)) == {"a": b"\xff\x00"}  # a ninth bit guards the lane
+
+
+# --- the lane-packed batch ---------------------------------------------------
+
+BYTE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
+@st.composite
+def batches(draw):
+    """A target whose length is often at a lane's byte edge, and 0-12 candidates."""
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    size = draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(0, 80)))
+    target = tuple(draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
+    candidates = st.lists(st.sampled_from(alphabet), max_size=80).map(tuple)
+    return target, draw(st.lists(candidates, max_size=12))
+
+
+@given(batches())
+def test_edit_distances_match_matrix_oracle(batch):
+    a, bs = batch
+    assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
+    assert edit_distances(a, bs, match_lanes(a)) == edit_distances(a, bs)
+
+
+@given(batches(), st.data())
+def test_edit_distances_lanes_are_independent(batch, data):
+    # a candidate's distance is the same alone, duplicated, and at any position
+    a, bs = batch
+    b = data.draw(st.lists(st.sampled_from("abcd"), max_size=80).map(tuple))
+    alone = edit_distance(a, b)
+    assert edit_distances(a, [b, b, b]) == [alone] * 3
+    position = data.draw(st.integers(0, len(bs)))
+    batch_with_b = bs[:position] + [b] + bs[position:]
+    assert edit_distances(a, batch_with_b)[position] == alone
+
+
+@pytest.mark.parametrize("size", BYTE_EDGES)
+def test_edit_distances_at_byte_edges(size):
+    rng = random.Random(size)
+    a = tuple(rng.choice("ab") for _ in range(size))
+    bs = [(), a, a[1:], a + ("a",), ("b",) * size, tuple(rng.choice("ab") for _ in range(2 * size + 3))]
+    assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
+
+
+def test_edit_distances_empty_batch_and_empty_sequences():
+    assert edit_distances(("a", "b"), []) == []
+    assert edit_distances((), [(), ("a",), ("a", "b", "c")]) == [0, 1, 3]
+    assert edit_distances(("a", "b", "c"), [(), ()]) == [3, 3]
 
 
 def test_edit_distance_examples():
@@ -190,7 +238,7 @@ def test_simulated_target_is_unique_global_minimum():
 
 @given(st.integers(0, 2**32), st.integers(0, 5), st.integers(0, 5), st.integers(3, 12))
 def test_simulated_fitness_unchanged_on_perturbed_candidates(seed, target_edits, edits, size):
-    # the model measures from the target's side with its prebuilt masks; the
+    # the model measures from the target's side with its prebuilt lanes; the
     # score must be what the candidate-side distance gives
     rng = random.Random(seed)
     catalog = make_catalog(size)
@@ -201,14 +249,17 @@ def test_simulated_fitness_unchanged_on_perturbed_candidates(seed, target_edits,
     distance = matrix_edit_distance(candidate.passes, target.passes)
     assert distance == edit_distance(candidate.passes, target.passes) == edits
     assert simulated_fitness(candidate, model) == 1.5 * (1.0 + distance / max(len(target), 1))
+    assert simulated_fitnesses([candidate, target, candidate], model) == [
+        simulated_fitness(candidate, model), 1.5, simulated_fitness(candidate, model)
+    ]
 
 
-def test_sim_model_masks_stay_out_of_equality_and_repr():
+def test_sim_model_lanes_stay_out_of_equality_and_repr():
     target = PassSequence(("a", "b", "a"))
     model = SimModel(target, 1.0)
-    assert model.masks == masks_of(target.passes)
+    assert model.lanes == match_lanes(target.passes)
     assert model == SimModel(target, 1.0) and hash(model) == hash(SimModel(target, 1.0))
-    assert "masks" not in repr(model)
+    assert "lanes" not in repr(model)
 
 
 @pytest.mark.parametrize("base_runtime", [0.0, -1.0, math.nan, math.inf])
@@ -223,10 +274,11 @@ def test_penalty_orders_above_any_measurement():
 
 
 def test_simulated_record_shape():
-    model = SimModel(PassSequence(("a", "b")), 1.0)
-    record = simulated_record(PassSequence(("a",)), model)
+    digest = sequence_digest(PassSequence(("a",)))
+    record = simulated_record(digest, 1.5)
     assert record.status is EvaluationStatus.OK
-    assert record.samples == (record.mean,)
+    assert record.sequence_digest == digest
+    assert record.samples == (record.mean,) == (1.5,)
     assert record.fitness == record.mean
 
 
