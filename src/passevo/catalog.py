@@ -136,9 +136,7 @@ def builtin_catalog() -> PassCatalog:
     return load_catalog(text)
 
 
-def builtin_baseline(catalog: PassCatalog | None = None) -> PassSequence:
+def builtin_baseline(catalog: PassCatalog) -> PassSequence:
     """The shipped legacy -O3 snapshot pipeline, validated against `catalog`."""
-    if catalog is None:
-        catalog = builtin_catalog()
     text = resources.files("passevo.data").joinpath("o3_baseline.txt").read_text("utf-8")
     return load_sequence(text, catalog)

@@ -52,8 +52,10 @@ import enum
 import hashlib
 import json
 import math
+import os
 import random
 import shlex
+import signal
 import statistics
 import subprocess
 import tempfile
@@ -85,9 +87,9 @@ class EvaluationStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Everything an evaluation needs; command templates use the placeholders
-    {source}, {ir}, {passes}, {passes_csv} and {output}. The external_compiler
-    kind needs source_path and all three command templates."""
+    """Everything an evaluation needs; command templates split shell-style and
+    use the placeholders {source}, {ir}, {passes}, {passes_csv} and {output}.
+    The external_compiler kind needs source_path and all three templates."""
 
     kind: str = KIND_SIMULATED
     source_path: str = ""
@@ -106,10 +108,14 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in (KIND_EXTERNAL, KIND_SIMULATED):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == KIND_EXTERNAL:
-            for key in ("source_path", "compiler_front_command", "optimizer_command", "linker_command"):
-                if not getattr(self, key):
-                    raise ValueError(f"{key} is required when kind = {KIND_EXTERNAL}")
+        for key in ("source_path", "compiler_front_command", "optimizer_command", "linker_command"):
+            if self.kind == KIND_EXTERNAL and not getattr(self, key):
+                raise ValueError(f"{key} is required when kind = {KIND_EXTERNAL}")
+        for key in ("compiler_front_command", "optimizer_command", "linker_command"):
+            try:
+                shlex.split(getattr(self, key))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         if self.runs_per_eval < 1:
             raise ValueError("runs_per_eval must be >= 1")
         for key in ("run_timeout", "compile_timeout", "sim_base_runtime"):
@@ -171,30 +177,21 @@ class EvaluationCache:
             self._load(self._path)
 
     def _load(self, path: Path) -> None:
-        """Read persisted records; drop a torn last line, reject any other bad line.
+        """Read persisted records; cut a torn tail, reject any other bad line.
 
-        A run killed mid-append leaves a partial last line. It is cut from
-        the file, so later appends start on a fresh line, and the run
-        resumes with every complete record. Any other line that is not a
-        record is a ConfigError naming the file and the line.
+        A row is whole if and only if it ends in a newline, as put() writes
+        it. A run killed mid-append leaves bytes after the last newline; they
+        are cut, so later appends start on a fresh line. Every whole non-blank
+        line must be a record, or a ConfigError names it and nothing is cut.
         """
-        lines = path.read_bytes().split(b"\n")
-        offset = 0
-        for index, line in enumerate(lines):
-            start, offset = offset, offset + len(line) + 1
+        data = path.read_bytes()
+        whole = data.rfind(b"\n") + 1
+        lines = data[:whole].split(b"\n")
+        for index, line in enumerate(lines, 1):
             if not line.strip():
                 continue
-            bad = f"{path}: line {index + 1} of the evaluation cache is not a record"
             try:
                 row = json.loads(line)
-            except ValueError as exc:
-                if any(rest.strip() for rest in lines[index + 1 :]):
-                    raise ConfigError(f"{bad}: {exc}") from exc
-                warnings.warn(f"{path}: dropping torn last line {index + 1} of the evaluation cache")
-                with path.open("r+b") as fh:
-                    fh.truncate(start)
-                return
-            try:
                 record = EvaluationRecord(
                     sequence_digest=row["digest"],
                     runs=int(row["runs"]),
@@ -205,10 +202,14 @@ class EvaluationCache:
                     diagnostics=row.get("diagnostics", ""),
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{bad}: {exc!r}") from exc
+                raise ConfigError(f"{path}: line {index} of the evaluation cache is not a record: {exc!r}") from exc
             self._records.setdefault(record.sequence_digest, record)
             if row.get("exe") is not None:
                 self._timed.setdefault(row["exe"], record)
+        if whole < len(data):
+            warnings.warn(f"{path}: dropping torn last line {len(lines)} of the evaluation cache")
+            with path.open("r+b") as fh:
+                fh.truncate(whole)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -267,25 +268,30 @@ class RunResult:
 
 
 def time_execution(argv: list[str], timeout: float) -> RunResult:
-    """Wall-clock one process from spawn to exit, killing it at `timeout`."""
+    """Wall-clock one process from spawn to exit; at `timeout`, kill its process group.
+
+    The process leads a new session. A timeout or an interrupt (re-raised)
+    kills its whole group, such as the tools under a `sh -c` template, before
+    the leader is reaped, so no other process can hold that group id yet.
+    The output is stdout and stderr, decoded as UTF-8 with bad bytes replaced.
+    """
     start = time.perf_counter()
     try:
-        proc = subprocess.run(
-            argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=timeout,
-            text=True,
-            errors="replace",
-        )
-    except subprocess.TimeoutExpired as exc:
-        out = exc.output
-        if isinstance(out, bytes):
-            out = out.decode("utf-8", "replace")
-        return RunResult(time.perf_counter() - start, None, True, out or "")
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, start_new_session=True)
     except OSError as exc:
         return RunResult(time.perf_counter() - start, None, False, f"spawn failed: {exc}")
-    return RunResult(time.perf_counter() - start, proc.returncode, False, proc.stdout or "")
+    try:
+        out, _ = proc.communicate(timeout=timeout)
+        timed_out = False
+    except BaseException as exc:
+        if proc.returncode is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        if not isinstance(exc, subprocess.TimeoutExpired):
+            raise
+        timed_out = True
+    returncode = None if timed_out else proc.returncode
+    return RunResult(time.perf_counter() - start, returncode, timed_out, out.decode("utf-8", "replace"))
 
 
 def expand_command(template: str, substitutions: dict[str, str], passes: tuple[str, ...]) -> list[str]:
@@ -336,12 +342,10 @@ def ir_digest(optimized_ir: bytes) -> str:
     return hashlib.sha256(optimized_ir).hexdigest()
 
 
-def build_executable(
-    seq: PassSequence, cfg: BackendConfig, build_dir: Path, cache: EvaluationCache | None = None
-) -> Path:
+def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cache: EvaluationCache) -> Path:
     """Run front-end, optimizer and linker; return the executable path.
 
-    With a cache, an optimized IR that has been linked before gets the
+    An optimized IR that has been linked before, as `cache` knows, gets the
     executable it linked to written back, and the linker does not run.
     Raises EvaluationFailure with the failing stage's captured output.
     """
@@ -357,7 +361,7 @@ def build_executable(
     run("optimizer", cfg.optimizer_command, {"ir": str(ir), "output": str(optimized)})
     key = None
     # a linker that takes {passes} or {passes_csv} depends on more than the IR
-    if cache is not None and "{passes" not in cfg.linker_command and optimized.is_file():
+    if "{passes" not in cfg.linker_command and optimized.is_file():
         key = ir_digest(optimized.read_bytes())
         linked = cache.get_linked(key)
         if linked is not None:
@@ -372,7 +376,7 @@ def build_executable(
     return exe
 
 
-def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | None = None) -> EvaluationRecord:
+def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> EvaluationRecord:
     """Compile with the candidate sequence and time it runs_per_eval times.
 
     Total for candidates: every failure of one comes back as a record, never
@@ -381,12 +385,10 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache | Non
     digest, repeat links of the same optimized IR, and repeat timings of a
     byte-identical executable (the record is copied under this sequence's
     digest). A record for a tool or program that could not be started is
-    returned but not cached. Without a cache, a fresh one serves this call.
+    returned but not cached.
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError("evaluate() drives the external toolchain; use simulated_fitness for models")
-    if cache is None:
-        cache = EvaluationCache()
     digest = sequence_digest(seq)
     hit = cache.get(digest)
     if hit is not None:

@@ -20,6 +20,7 @@ from passevo.experiment import ExperimentConfig, run_trials
 from passevo.fitness import (
     PENALTY,
     BackendConfig,
+    EvaluationCache,
     EvaluationStatus,
     evaluate,
     time_execution,
@@ -228,7 +229,7 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
 
     from passevo.catalog import PassSequence
     from passevo.evolution import evolve
-    from passevo.fitness import EvaluationCache, build_executable
+    from passevo.fitness import build_executable
     from passevo.patches import Individual, Patch
 
     source = tmp_path / "subset_sum.c"
@@ -255,18 +256,18 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
 
     outputs = []
     for seq in (baseline_seq, patched_seq):
-        record = evaluate(seq, cfg)
+        record = evaluate(seq, cfg, EvaluationCache())
         assert record.status is EvaluationStatus.OK, record.diagnostics
         assert record.runs == 5 and len(record.samples) == 5
         build_dir = tmp_path / f"keep-{len(outputs)}"
         build_dir.mkdir()
-        exe = build_executable(seq, cfg, build_dir)
+        exe = build_executable(seq, cfg, build_dir, EvaluationCache())
         result = time_execution([str(exe)], timeout=30.0)
         assert result.returncode == 0
         outputs.append(result.output)
     assert outputs[0] == outputs[1]
 
-    bad = evaluate(PassSequence(("-definitely-not-a-pass-xyz",)), cfg)
+    bad = evaluate(PassSequence(("-definitely-not-a-pass-xyz",)), cfg, EvaluationCache())
     assert bad.status is EvaluationStatus.COMPILE_ERROR
     assert bad.fitness == PENALTY
 
@@ -290,7 +291,7 @@ def test_criterion_9_timeout_handling(tmp_path):
     from passevo.catalog import PassSequence
 
     start = time.perf_counter()
-    record = evaluate(PassSequence(("-p0",)), cfg)
+    record = evaluate(PassSequence(("-p0",)), cfg, EvaluationCache())
     elapsed = time.perf_counter() - start
     assert record.status is EvaluationStatus.TIMEOUT
     assert record.fitness == PENALTY

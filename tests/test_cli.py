@@ -240,6 +240,19 @@ def test_unusable_workdir_exit_two(tmp_path, capsys, command):
     assert str(workdir) in err
 
 
+@pytest.mark.parametrize("command", ["evolve", "baseline"])
+@pytest.mark.parametrize("key", ["compiler_front_command", "optimizer_command", "linker_command"])
+def test_unbalanced_quote_in_a_template_exits_two_before_any_output(tmp_path, capsys, key, command):
+    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
+    out_dir = tmp_path / "out"
+    text = external_config_text(tmp_path, catalog_path, baseline_path, out_dir)
+    config = tmp_path / "ext.ini"
+    config.write_text(text.replace(f"{key} = ", f"{key} = 'unclosed ", 1))
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {key}: No closing quotation\n"
+    assert not out_dir.exists()
+
+
 def test_all_trials_failed_exit_one(tmp_path, capsys):
     # the fake optimizer rejects '-broken' and the baseline is empty, so a
     # candidate builds only if its deletes undo all its inserts; no 8-gene

@@ -2,8 +2,11 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import re
+import shlex
+import subprocess
 import sys
 import time
 import warnings
@@ -391,12 +394,72 @@ def test_time_execution_spawn_failure():
     assert "spawn failed" in result.output
 
 
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states in /proc")
+
+
+def _background_sleeper(pidfile) -> list[str]:
+    """A shell that starts a long sleep, records its pid and waits for it."""
+    return ["sh", "-c", f"sleep 30 & echo $! > {shlex.quote(str(pidfile))}; wait"]
+
+
+def _recorded_pid(pidfile, within: float = 5.0) -> int:
+    deadline = time.monotonic() + within
+    while not (pidfile.exists() and pidfile.read_text().endswith("\n")):
+        assert time.monotonic() < deadline, "the shell never recorded its child"
+        time.sleep(0.01)
+    return int(pidfile.read_text())
+
+
+def _has_exited(pid: int, within: float = 2.0) -> bool:
+    """Whether `pid` is gone or a zombie (an orphan whose new parent does not reap it)."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state = fh.read().rpartition(")")[2].split()[0]
+        except FileNotFoundError:
+            return True
+        if state == "Z" or time.monotonic() > deadline:
+            return state == "Z"
+        time.sleep(0.02)
+
+
+@needs_proc
+def test_time_execution_timeout_kills_the_process_group(tmp_path):
+    pidfile = tmp_path / "pid"
+    start = time.perf_counter()
+    result = time_execution(_background_sleeper(pidfile), timeout=0.5)
+    assert (result.timed_out, result.returncode) == (True, None)
+    assert time.perf_counter() - start < 2.0
+    assert _has_exited(_recorded_pid(pidfile))
+
+
+@needs_proc
+def test_time_execution_interrupt_kills_the_process_group_and_propagates(tmp_path, monkeypatch):
+    pidfile = tmp_path / "pid"
+
+    class InterruptedPopen(subprocess.Popen):
+        def communicate(self, input=None, timeout=None):
+            if timeout is not None:  # Ctrl-C during the timed wait, once the child runs
+                _recorded_pid(pidfile)
+                raise KeyboardInterrupt
+            return super().communicate(input, timeout)
+
+    monkeypatch.setattr(fitness_mod.subprocess, "Popen", InterruptedPopen)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        time_execution(_background_sleeper(pidfile), timeout=30.0)
+    # a surviving sleep holds the output pipe, so draining it would take 30 s
+    assert time.perf_counter() - start < 5.0
+    assert _has_exited(_recorded_pid(pidfile))
+
+
 # --- external pipeline through the fake toolchain ----------------------------
 
 def test_evaluate_ok_record(tmp_path):
     cfg = fake_backend(tmp_path, behavior="ok", runs_per_eval=3)
     seq = PassSequence(("-sroa", "-gvn"))
-    record = evaluate(seq, cfg)
+    record = evaluate(seq, cfg, EvaluationCache())
     assert record.status is EvaluationStatus.OK
     assert record.runs == 3
     assert len(record.samples) == 3
@@ -407,7 +470,7 @@ def test_evaluate_ok_record(tmp_path):
 
 def test_evaluate_compile_error_on_broken_pass(tmp_path):
     cfg = fake_backend(tmp_path)
-    record = evaluate(PassSequence(("-sroa", "-broken")), cfg)
+    record = evaluate(PassSequence(("-sroa", "-broken")), cfg, EvaluationCache())
     assert record.status is EvaluationStatus.COMPILE_ERROR
     assert record.fitness == PENALTY
     assert "unknown pass" in record.diagnostics
@@ -415,7 +478,7 @@ def test_evaluate_compile_error_on_broken_pass(tmp_path):
 
 def test_evaluate_run_error(tmp_path):
     cfg = fake_backend(tmp_path, behavior="exit1")
-    record = evaluate(PassSequence(("-sroa",)), cfg)
+    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
     assert record.status is EvaluationStatus.RUN_ERROR
     assert record.fitness == PENALTY
     assert "deliberate failure" in record.diagnostics
@@ -424,7 +487,7 @@ def test_evaluate_run_error(tmp_path):
 def test_evaluate_timeout(tmp_path):
     cfg = fake_backend(tmp_path, behavior="spin", run_timeout=0.5)
     start = time.perf_counter()
-    record = evaluate(PassSequence(("-sroa",)), cfg)
+    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
     assert record.status is EvaluationStatus.TIMEOUT
     assert record.fitness == PENALTY
     assert time.perf_counter() - start < 5.0
@@ -442,7 +505,7 @@ def test_evaluate_fixed_samples_arithmetic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fitness_mod, "time_execution", fake_time)
     cfg = fake_backend(tmp_path, runs_per_eval=3)
-    record = evaluate(PassSequence(("-sroa",)), cfg)
+    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
     assert record.status is EvaluationStatus.OK
     assert record.samples == (1.0, 2.0, 3.0)
     assert record.mean == pytest.approx(2.0, abs=1e-12)
@@ -684,9 +747,9 @@ def test_identical_ir_is_linked_once(tmp_path, tool_calls):
     assert _fake_stages(tool_calls) == ["front", "opt", "link", "run", "run", "front", "opt"]
     assert (second.status, second.mean) == (EvaluationStatus.OK, first.mean)
 
-    # another IR links; without a cache every build links
+    # another IR links, and so does every build with a fresh cache
     evaluate(PassSequence(("-sroa", "-gvn")), cfg, cache)
-    evaluate(PassSequence(("-noop", "-sroa")), cfg)
+    evaluate(PassSequence(("-noop", "-sroa")), cfg, EvaluationCache())
     assert _fake_stages(tool_calls).count("link") == 3
 
 
@@ -735,20 +798,18 @@ def test_optimizer_that_writes_no_ir_is_a_link_error(tmp_path):
     assert record.diagnostics.startswith("linker failed (exit 1):")
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
-def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path, cached):
+def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path):
     cfg = fake_backend(tmp_path, linker_command=f"{sys.executable} -c pass")
-    cache = EvaluationCache() if cached else None
+    cache = EvaluationCache()
     record = evaluate(PassSequence(("-sroa",)), cfg, cache)
     assert record.status is EvaluationStatus.COMPILE_ERROR
     assert record.diagnostics == "linker exited 0 but wrote no program.bin"
-    if cached:
-        assert cache.get(record.sequence_digest) == record
+    assert cache.get(record.sequence_digest) == record
 
 
 def test_evaluate_rejects_simulated_config():
     with pytest.raises(ValueError):
-        evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"))
+        evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"), EvaluationCache())
 
 
 def test_program_receives_passes_through_pipeline(tmp_path):
@@ -756,7 +817,7 @@ def test_program_receives_passes_through_pipeline(tmp_path):
     cfg = fake_backend(tmp_path, behavior="ok", runs_per_eval=1)
     build_dir = tmp_path / "build"
     build_dir.mkdir()
-    exe = fitness_mod.build_executable(PassSequence(("-sroa", "-gvn")), cfg, build_dir)
+    exe = fitness_mod.build_executable(PassSequence(("-sroa", "-gvn")), cfg, build_dir, EvaluationCache())
     result = time_execution([str(exe)], timeout=10.0)
     assert result.returncode == 0
     assert "passes: -sroa -gvn" in result.output
@@ -859,17 +920,35 @@ def test_cache_skips_torn_last_line_and_resumes(tmp_path):
     assert reloaded.get("cd").mean == 3.5
 
 
+def test_cache_cuts_a_whole_row_without_its_newline(tmp_path):
+    path = tmp_path / "eval_cache.jsonl"
+    path.write_text(_cache_line("ab", 1.5) + _cache_line("bc", 2.5).rstrip("\n"), "utf-8")
+    with pytest.warns(UserWarning, match="dropping torn last line 2 "):
+        cache = EvaluationCache(path)
+    assert (len(cache), cache.get("bc")) == (1, None)
+    assert path.read_text("utf-8") == _cache_line("ab", 1.5)
+    # the resumed run scores bc again, and no row is glued onto another
+    for digest, mean in (("bc", 2.5), ("cd", 3.5)):
+        cache.put(EvaluationRecord(digest, 1, (mean,), mean, 0.0, EvaluationStatus.OK))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reloaded = EvaluationCache(path)
+    assert {digest: reloaded.get(digest).mean for digest in ("ab", "bc", "cd")} == {"ab": 1.5, "bc": 2.5, "cd": 3.5}
+
+
 def test_cache_rejects_malformed_line_before_the_last(tmp_path):
     path = tmp_path / "eval_cache.jsonl"
     row = json.loads(_cache_line("cd", 2.0))
     not_records = [
+        '{"digest": "cd", "me',
         json.dumps({**row, "status": "okay"}),
         json.dumps({key: value for key, value in row.items() if key != "runs"}),
         json.dumps([row]),
     ]
-    cases = [('{"digest": "cd", "me', _cache_line("ef", 2.5))]
-    # a whole line that is not a record is no torn tail, even when it is the last
-    cases += [(line, tail) for line in not_records for tail in (_cache_line("ef", 2.5), "")]
+    # a whole line that is not a record is no torn tail, even when it is the last,
+    # and a torn tail after it is not cut either
+    tails = (_cache_line("ef", 2.5), "", '{"digest": "ef", "me')
+    cases = [(line, tail) for line in not_records for tail in tails]
     for bad, tail in cases:
         text = _cache_line("ab", 1.5) + bad + "\n" + tail
         path.write_text(text, "utf-8")
