@@ -21,7 +21,8 @@ def validate_token(name: str) -> str:
     """Check that a pass name is a single printable token; return it."""
     if not name:
         raise ValueError("pass name is empty")
-    if any(c.isspace() or not c.isprintable() for c in name):
+    # every whitespace character but the space is already unprintable
+    if " " in name or not name.isprintable():
         raise ValueError(f"pass name {name!r} contains whitespace or control characters")
     return name
 

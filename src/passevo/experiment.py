@@ -115,21 +115,24 @@ def build_records_fn(
 ) -> RecordsFn:
     """Wire a backend config into a memoized batch: sequences -> one record each, in order.
 
-    The simulated batch scores the distinct sequences its memo lacks in one
-    simulated_fitnesses call. The external batch evaluates the sequences in
-    order, and only it persists its records, at `cache_path`."""
+    The simulated memo is keyed by a sequence's pass tuple, so a repeat costs
+    one lookup; the distinct sequences it lacks are scored in one
+    simulated_fitnesses call, and only they are digested. The external batch
+    evaluates the sequences in order, and only it persists its records, at
+    `cache_path`."""
     if backend.kind == KIND_SIMULATED:
         rng = random.Random(backend.sim_target_seed)
         target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
         model = SimModel(target=target, base_runtime=backend.sim_base_runtime)
-        memo: dict[str, EvaluationRecord] = {}
+        memo: dict[tuple[str, ...], EvaluationRecord] = {}
 
         def records_fn(seqs: list[PassSequence]) -> list[EvaluationRecord]:
-            digests = [sequence_digest(seq) for seq in seqs]
-            fresh = {digest: seq for digest, seq in zip(digests, seqs) if digest not in memo}
-            for digest, value in zip(fresh, simulated_fitnesses(list(fresh.values()), model)):
-                memo[digest] = simulated_record(digest, value)
-            return [memo[digest] for digest in digests]
+            records = [memo.get(seq.passes) for seq in seqs]
+            fresh = {seq.passes: seq for seq, record in zip(seqs, records) if record is None}
+            values = simulated_fitnesses(list(fresh.values()), model)
+            for (passes, seq), value in zip(fresh.items(), values):
+                memo[passes] = simulated_record(sequence_digest(seq), value)
+            return [memo[seq.passes] if record is None else record for seq, record in zip(seqs, records)]
 
         return records_fn
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from passevo.catalog import (
     search_space_order,
     serialize_catalog,
     serialize_sequence,
+    validate_token,
 )
 from passevo.errors import ValidationError
 
@@ -73,6 +75,21 @@ def test_catalog_rejects_bad_tokens():
         PassSequence(("a\tb",))
     with pytest.raises(ValueError):
         PassCatalog(("",))
+
+
+def test_validate_token_agrees_with_the_per_character_rule_on_every_code_point():
+    def rejected(name):
+        try:
+            validate_token(name)
+        except ValueError:
+            return True
+        return False
+
+    def per_character_rule_rejects(name):
+        return any(c.isspace() or not c.isprintable() for c in name)
+
+    names = (f"-a{chr(cp)}" for cp in range(sys.maxunicode + 1))
+    assert [name for name in names if rejected(name) != per_character_rule_rejects(name)] == []
 
 
 @given(st.lists(token, min_size=1, max_size=30, unique=True))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import passevo.experiment as experiment_mod
-from passevo.catalog import serialize_catalog, serialize_sequence
+from passevo.catalog import PassSequence, serialize_catalog, serialize_sequence
 from passevo.errors import ConfigError, ExecutionError
 from passevo.evolution import GAConfig, GenerationRecord
 from passevo.experiment import (
@@ -250,15 +250,23 @@ def test_simulated_records_fn_scores_each_fresh_sequence_once(tmp_path, monkeypa
         scored.extend(seqs)
         return real(seqs, model)
 
+    digested = []
+
+    def counting_digest(seq):
+        digested.append(seq)
+        return sequence_digest(seq)
+
     monkeypatch.setattr(experiment_mod, "simulated_fitnesses", recording)
+    monkeypatch.setattr(experiment_mod, "sequence_digest", counting_digest)
     records_fn = build_records_fn(backend, catalog, baseline)
     other = make_sequence(catalog, [0, 1])
     first = records_fn([baseline, other, baseline])
     assert first[0] is first[2]
     assert [r.sequence_digest for r in first] == [sequence_digest(s) for s in (baseline, other, baseline)]
-    second = records_fn([other, baseline])
+    second = records_fn([other, PassSequence(baseline.passes)])
     assert second[0] is first[1] and second[1] is first[0]
     assert scored == [baseline, other]
+    assert digested == [baseline, other]
     one = build_record_fn(backend, catalog, baseline)
     assert [one(s) for s in (baseline, other)] == first[:2]
 
