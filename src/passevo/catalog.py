@@ -52,7 +52,7 @@ class PassCatalog:
         return len(self.passes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PassSequence:
     """Ordered pipeline of pass names; duplicates allowed, may be empty."""
 

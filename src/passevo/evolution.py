@@ -3,12 +3,15 @@
 Fitness is minimized (mean runtime in seconds). The loop is fully
 deterministic given the seed: a single random.Random instance drives every
 stochastic decision in a fixed order, and fitness evaluation never touches
-it. Each generation is scored in one batch: FitnessFn takes the whole
-population's pass sequences and returns one fitness per sequence, in order,
-so a backend can score them together. Tournament selection, one-point
-crossover and a mixed mutation operator (gene edits plus append/remove
-structural edits) are deliberately plain; all rates and sizes live in
-GAConfig and none of the defaults is canonical.
+it. Integer draws call Random._randbelow, which CPython's choice, randrange
+and randint reduce to for the arguments used here, so the stream is theirs;
+tests/test_evolution.py::test_direct_draws_match_the_public_random_methods
+guards that. Each generation is scored in one batch: FitnessFn takes the
+whole population's pass sequences and returns one fitness per sequence, in
+order, so a backend can score them together. Tournament selection,
+one-point crossover and a mixed mutation operator (gene edits plus
+append/remove structural edits) are deliberately plain; all rates and sizes
+live in GAConfig and none of the defaults is canonical.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .catalog import PassCatalog, PassSequence
 from .patches import Individual, Patch, PatchType, _trusted_patch, apply_individual
 
 POSITION_JITTER_SCALE = 0.1
+_PATCH_TYPES = (PatchType.INSERTION, PatchType.DELETION, PatchType.REPLACEMENT)
 
 
 @dataclass(frozen=True)
@@ -70,16 +74,17 @@ ProgressFn = Callable[[GenerationRecord], None]
 
 def random_patch(catalog: PassCatalog, rng: random.Random) -> Patch:
     """Draw a uniformly random valid patch over the catalog."""
-    ptype = rng.choice((PatchType.INSERTION, PatchType.DELETION, PatchType.REPLACEMENT))
+    ptype = _PATCH_TYPES[rng._randbelow(3)]
     position = rng.random()
-    value = rng.choice(catalog.passes) if ptype is not PatchType.DELETION else None
+    value = None if ptype is PatchType.DELETION else catalog.passes[rng._randbelow(len(catalog.passes))]
     return _trusted_patch(ptype, position, value)
 
 
 def init_population(cfg: GAConfig, catalog: PassCatalog, rng: random.Random) -> list[Individual]:
     population = []
+    lo, hi = cfg.init_genome_len_min, cfg.init_genome_len_max
     for _ in range(cfg.population_size):
-        length = rng.randint(cfg.init_genome_len_min, cfg.init_genome_len_max)
+        length = lo + rng._randbelow(hi - lo + 1)
         population.append(Individual(tuple(random_patch(catalog, rng) for _ in range(length))))
     return population
 
@@ -91,9 +96,10 @@ def tournament_select(
     rng: random.Random,
 ) -> Individual:
     """Sample k with replacement, return the fittest; ties keep the earliest sample."""
-    best_i = rng.randrange(len(population))
+    randbelow, n = rng._randbelow, len(population)
+    best_i = randbelow(n)
     for _ in range(k - 1):
-        i = rng.randrange(len(population))
+        i = randbelow(n)
         if fitnesses[i] < fitnesses[best_i]:
             best_i = i
     return population[best_i]
@@ -103,8 +109,8 @@ def crossover(
     a: Individual, b: Individual, rng: random.Random, max_len: int
 ) -> tuple[Individual, Individual]:
     """One-point crossover; each child truncated to max_len genes."""
-    ca = rng.randint(0, len(a))
-    cb = rng.randint(0, len(b))
+    ca = rng._randbelow(len(a) + 1)
+    cb = rng._randbelow(len(b) + 1)
     child1 = (a.patches[:ca] + b.patches[cb:])[:max_len]
     child2 = (b.patches[:cb] + a.patches[ca:])[:max_len]
     return Individual(child1), Individual(child2)
@@ -116,36 +122,35 @@ def _clamp01(x: float) -> float:
 
 def _edit_gene(gene: Patch, catalog: PassCatalog, rng: random.Random) -> Patch:
     """Retype, move or revalue one gene; every part comes from `gene`, the catalog or _clamp01."""
-    kind = rng.randrange(3)
+    kind = rng._randbelow(3)
+    passes = catalog.passes
     if kind == 0:
-        new_type = rng.choice((PatchType.INSERTION, PatchType.DELETION, PatchType.REPLACEMENT))
+        new_type = _PATCH_TYPES[rng._randbelow(3)]
         if new_type is PatchType.DELETION:
             return _trusted_patch(new_type, gene.position, None)
-        value = gene.value if gene.value is not None else rng.choice(catalog.passes)
+        value = gene.value if gene.value is not None else passes[rng._randbelow(len(passes))]
         return _trusted_patch(new_type, gene.position, value)
     if kind == 1:
         position = _clamp01(gene.position + rng.gauss(0.0, POSITION_JITTER_SCALE))
         return _trusted_patch(gene.ptype, position, gene.value)
     if gene.value is None:
         return gene
-    return _trusted_patch(gene.ptype, gene.position, rng.choice(catalog.passes))
+    return _trusted_patch(gene.ptype, gene.position, passes[rng._randbelow(len(passes))])
 
 
 def mutate(ind: Individual, catalog: PassCatalog, cfg: GAConfig, rng: random.Random) -> Individual:
     """Maybe rewrite genes and append/remove one, per the configured rates."""
-    if rng.random() >= cfg.mutation_rate:
+    rand, rate = rng.random, cfg.per_gene_mutation_rate
+    if rand() >= cfg.mutation_rate:
         return ind
-    genes = [
-        _edit_gene(g, catalog, rng) if rng.random() < cfg.per_gene_mutation_rate else g
-        for g in ind.patches
-    ]
-    if rng.random() < cfg.per_gene_mutation_rate:
+    genes = [_edit_gene(g, catalog, rng) if rand() < rate else g for g in ind.patches]
+    if rand() < rate:
         can_append = len(genes) < cfg.max_genome_len
         can_remove = len(genes) > 0
-        if can_append and (not can_remove or rng.random() < 0.5):
+        if can_append and (not can_remove or rand() < 0.5):
             genes.append(random_patch(catalog, rng))
         elif can_remove:
-            del genes[rng.randrange(len(genes))]
+            del genes[rng._randbelow(len(genes))]
     return Individual(tuple(genes))
 
 

@@ -125,7 +125,7 @@ class BackendConfig:
             raise ValueError("sim_target_edits must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationRecord:
     """Outcome of scoring one sequence.
 
@@ -388,7 +388,9 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> E
     returned but not cached.
     """
     if cfg.kind != KIND_EXTERNAL:
-        raise ValueError("evaluate() drives the external toolchain; use simulated_fitness for models")
+        raise ValueError(
+            "evaluate() drives the external toolchain; a simulated config scores through experiment.build_records_fn"
+        )
     digest = sequence_digest(seq)
     hit = cache.get(digest)
     if hit is not None:

@@ -25,7 +25,7 @@ class PatchType(enum.Enum):
     REPLACEMENT = "replace"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Patch:
     """One edit: a type, a relative position, and a pass name for edits that add one."""
 
@@ -44,7 +44,7 @@ class Patch:
             raise ValueError("delete patch must not carry a value")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Individual:
     """Ordered genome of patches; the empty genome is the identity edit."""
 
@@ -91,9 +91,11 @@ def apply_individual(baseline: PassSequence, ind: Individual) -> PassSequence:
     for patch in ind.patches:
         n = len(passes)
         if patch.ptype is PatchType.INSERTION:
-            passes.insert(min(int(patch.position * (n + 1)), n), patch.value)
+            passes.insert(int(patch.position * (n + 1)), patch.value)  # insert clamps n + 1 to n
         elif n:
-            i = min(int(patch.position * n), n - 1)
+            i = int(patch.position * n)
+            if i == n:
+                i -= 1
             if patch.ptype is PatchType.DELETION:
                 del passes[i]
             else:

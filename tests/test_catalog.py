@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from passevo.catalog import (
     PassCatalog,
     PassSequence,
+    _trusted_sequence,
     builtin_baseline,
     builtin_catalog,
     load_catalog,
@@ -110,6 +111,15 @@ def test_load_sequence_succeeds_iff_members():
     load_sequence("a\nb\na\n", cat)
     with pytest.raises(ValidationError, match=r"^pass 'c' on line 2 is not in the catalog$"):
         load_sequence("a\nc\n", cat)
+
+
+@pytest.mark.parametrize("passes", [(), ("-a",), ("-a", "-b", "-a")])
+def test_trusted_sequence_is_the_public_sequence(passes):
+    trusted, public = _trusted_sequence(passes), PassSequence(passes)
+    assert not hasattr(trusted, "__dict__") and not hasattr(public, "__dict__")
+    assert trusted == public
+    assert hash(trusted) == hash(public)
+    assert repr(trusted) == repr(public)
 
 
 def test_search_space_order_examples():

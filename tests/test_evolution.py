@@ -25,6 +25,34 @@ from passevo.patches import (
 from conftest import make_catalog, make_sequence
 
 
+# --- the draw stream -----------------------------------------------------------
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(
+        st.tuples(st.sampled_from(["choice", "randrange", "randint"]), st.integers(1, 300), st.integers(0, 40)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_direct_draws_match_the_public_random_methods(seed, draws):
+    # evolution.py draws through Random._randbelow in the three forms below; each
+    # must give, in order, what the public method gives on a twin generator.
+    direct, public = random.Random(seed), random.Random(seed)
+    for form, n, a in draws:
+        if form == "choice":
+            seq = tuple(f"-p{i}" for i in range(n))
+            got, want = seq[direct._randbelow(len(seq))], public.choice(seq)
+        elif form == "randrange":
+            got, want = direct._randbelow(n), public.randrange(n)
+        else:
+            b = a + n - 1
+            got, want = a + direct._randbelow(b - a + 1), public.randint(a, b)
+        assert got == want, (form, n, a)
+    assert direct.getstate() == public.getstate()
+
+
 def check_patch_valid(patch, catalog):
     assert 0.0 <= patch.position <= 1.0
     if patch.ptype is PatchType.DELETION:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,6 +284,17 @@ def test_simulated_record_shape():
     assert record.sequence_digest == digest
     assert record.samples == (record.mean,) == (1.5,)
     assert record.fitness == record.mean
+    public = EvaluationRecord(
+        sequence_digest=digest, runs=1, samples=(1.5,), mean=1.5, sample_stddev=0.0, status=EvaluationStatus.OK
+    )
+    assert not hasattr(record, "__dict__")
+    assert record == public
+    assert hash(record) == hash(public)
+    assert repr(record) == repr(public)
+    # evaluate's exe dedupe copies a timed record under another digest this way
+    copy = replace(record, sequence_digest="0" * 64)
+    assert copy.sequence_digest == "0" * 64
+    assert (copy.runs, copy.samples, copy.mean, copy.status) == (1, (1.5,), 1.5, EvaluationStatus.OK)
 
 
 # --- digests -----------------------------------------------------------------
@@ -808,7 +820,7 @@ def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path):
 
 
 def test_evaluate_rejects_simulated_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"experiment\.build_records_fn"):
         evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"), EvaluationCache())
 
 

@@ -10,6 +10,7 @@ from passevo.patches import (
     Individual,
     Patch,
     PatchType,
+    _trusted_patch,
     apply_individual,
     apply_patch,
     parse_individual,
@@ -139,6 +140,22 @@ def test_patch_invariants():
         Patch(PatchType.DELETION, 0.5, "x")
     with pytest.raises(ValueError):
         Patch(PatchType.REPLACEMENT, 1.5, "x")
+
+
+@pytest.mark.parametrize(
+    "parts", [(PatchType.INSERTION, 0.25, "-a"), (PatchType.DELETION, 1.0, None), (PatchType.REPLACEMENT, 0.0, "-b")]
+)
+def test_trusted_patch_is_the_public_patch(parts):
+    trusted, public = _trusted_patch(*parts), Patch(*parts)
+    assert not hasattr(trusted, "__dict__") and not hasattr(public, "__dict__")
+    assert trusted == public
+    assert hash(trusted) == hash(public)
+    assert repr(trusted) == repr(public)
+
+
+def test_individual_is_slotted():
+    assert not hasattr(Individual(), "__dict__")
+    assert not hasattr(Individual((Patch(PatchType.DELETION, 0.5),)), "__dict__")
 
 
 # --- apply_individual --------------------------------------------------------
