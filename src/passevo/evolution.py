@@ -177,7 +177,7 @@ def evolve(
         fitnesses = fitness_fn([apply_individual(baseline, ind) for ind in population])
         if len(fitnesses) != len(population):
             raise ValueError(f"fitness_fn returned {len(fitnesses)} values for {len(population)} sequences")
-        gen_best = min(range(len(population)), key=lambda i: fitnesses[i])
+        gen_best = min(range(len(population)), key=fitnesses.__getitem__)
         record = GenerationRecord(
             generation=generation,
             best_fitness=fitnesses[gen_best],
@@ -190,7 +190,7 @@ def evolve(
         if generation == cfg.generations - 1:
             break
 
-        ranked = sorted(range(len(population)), key=lambda i: fitnesses[i])
+        ranked = sorted(range(len(population)), key=fitnesses.__getitem__)
         next_population = [population[i] for i in ranked[: cfg.elitism_count]]
         while len(next_population) < cfg.population_size:
             parent1 = tournament_select(population, fitnesses, cfg.tournament_size, rng)

@@ -2,12 +2,13 @@
 
 The digests in simulated_demo_digests.json were recorded with the
 full-matrix edit distance and per-token validation on every sequence, so they
-hold the lane-packed bit-parallel distance and validate-once sequences to the
-same artifacts, byte for byte, and likewise the GA operators' direct
-Random._randbelow draws and the slotted value types (Patch, Individual,
-PassSequence, EvaluationRecord). The low-reuse sim-fresh configuration, far
-from its target and with few repeats, is pinned against the benchmark's
-committed reference, which this file only reads.
+hold the lane-packed bit-parallel distance, with each lane's shared ends
+skipped, and validate-once sequences to the same artifacts, byte for byte,
+and likewise the GA operators' direct Random._randbelow draws and the
+slotted value types (Patch, Individual, PassSequence, EvaluationRecord).
+The low-reuse sim-fresh configuration, far from its target and with few
+repeats, is pinned against the benchmark's committed reference, which this
+file only reads.
 """
 
 import hashlib

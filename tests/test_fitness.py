@@ -87,13 +87,10 @@ def token_pairs(draw):
     return tuple(draw(tokens)), tuple(draw(tokens))
 
 
-@st.composite
-def edited_pairs(draw):
-    """A base sequence and a copy with 0-4 random edits, so the trim has work."""
-    alphabet = "abcd"[: draw(st.integers(1, 4))]
-    base = draw(st.lists(st.sampled_from(alphabet), max_size=150))
+def draw_edited(draw, base: tuple, alphabet: str, max_edits: int) -> tuple:
+    """A copy of `base` with 0..max_edits random inserts, deletes and replacements."""
     edited = list(base)
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, max_edits))):
         op = draw(st.sampled_from(("insert", "delete", "replace") if edited else ("insert",)))
         if op == "insert":
             edited.insert(draw(st.integers(0, len(edited))), draw(st.sampled_from(alphabet)))
@@ -101,7 +98,15 @@ def edited_pairs(draw):
             del edited[draw(st.integers(0, len(edited) - 1))]
         else:
             edited[draw(st.integers(0, len(edited) - 1))] = draw(st.sampled_from(alphabet))
-    return tuple(base), tuple(edited)
+    return tuple(edited)
+
+
+@st.composite
+def edited_pairs(draw):
+    """A base sequence and a copy with 0-4 random edits, so the trim has work."""
+    alphabet = "abcd"[: draw(st.integers(1, 4))]
+    base = tuple(draw(st.lists(st.sampled_from(alphabet), max_size=150)))
+    return base, draw_edited(draw, base, alphabet, 4)
 
 
 @given(token_pairs())
@@ -173,17 +178,43 @@ def batches(draw):
     return target, draw(st.lists(candidates, max_size=12))
 
 
-@given(batches())
+@st.composite
+def near_copy_batches(draw):
+    """A target over 1-2 symbols, often of a byte-edge length, and 0-12
+    candidates that share its ends: 0-3-edit copies, splices of a prefix and
+    a suffix of it (nothing left between the shared ends), duplicates and
+    random tuples. Few symbols make the ends ambiguous: ("a",) * 5 and
+    ("a",) * 3 share a prefix of 3 and a suffix of 3, but only 3 in all."""
+    alphabet = "ab"[: draw(st.integers(1, 2))]
+    size = draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(0, 80)))
+    a = tuple(draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
+    bs: list[tuple] = []
+    for kind in draw(st.lists(st.sampled_from(("edited", "splice", "duplicate", "random")), max_size=12)):
+        if kind == "edited":
+            bs.append(draw_edited(draw, a, alphabet, 3))
+        elif kind == "splice":
+            cut = draw(st.integers(0, size))
+            bs.append(a[:cut] + a[draw(st.integers(cut, size)) :])
+        elif kind == "duplicate" and bs:
+            bs.append(draw(st.sampled_from(bs)))
+        else:
+            bs.append(tuple(draw(st.lists(st.sampled_from(alphabet), max_size=80))))
+    return a, bs
+
+
+@given(st.one_of(batches(), near_copy_batches()))
 def test_edit_distances_match_matrix_oracle(batch):
     a, bs = batch
     assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
     assert edit_distances(a, bs, match_lanes(a)) == edit_distances(a, bs)
 
 
-@given(batches(), st.data())
+@given(st.one_of(batches(), near_copy_batches()), st.data())
 def test_edit_distances_lanes_are_independent(batch, data):
-    # a candidate's distance is the same alone, duplicated, and at any position
+    # a candidate's distance is the same alone, duplicated, and at any position,
+    # whether or not the batch around it lets its shared ends be skipped
     a, bs = batch
+    assert edit_distances(a, bs) == [edit_distance(a, b) for b in bs]
     b = data.draw(st.lists(st.sampled_from("abcd"), max_size=80).map(tuple))
     alone = edit_distance(a, b)
     assert edit_distances(a, [b, b, b]) == [alone] * 3
@@ -198,6 +229,29 @@ def test_edit_distances_at_byte_edges(size):
     a = tuple(rng.choice("ab") for _ in range(size))
     bs = [(), a, a[1:], a + ("a",), ("b",) * size, tuple(rng.choice("ab") for _ in range(2 * size + 3))]
     assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
+
+
+def test_edit_distances_run_only_the_columns_between_shared_ends(monkeypatch):
+    columns = []
+
+    def counting_zip_longest(*middles):
+        for column in itertools.zip_longest(*middles):
+            columns.append(column)
+            yield column
+
+    monkeypatch.setattr(fitness_mod, "zip_longest", counting_zip_longest)
+    rng = random.Random(64)
+    names = [f"-p{i}" for i in range(40)]
+    a = tuple(rng.choice(names) for _ in range(64))
+    # one central insert, replacement or delete each
+    near = [a[:i] + new + a[i + cut :] for i in range(28, 37) for new, cut in ((("-x",), 0), (("-x",), 1), ((), 1))]
+    assert edit_distances(a, near) == [matrix_edit_distance(a, b) for b in near]
+    assert len(columns) <= 2  # the full table would take 65
+    for _ in range(20):
+        columns.clear()
+        bs = [tuple(rng.choice(names) for _ in range(rng.randint(0, 100))) for _ in range(rng.randint(1, 12))]
+        assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
+        assert len(columns) <= max(map(len, bs))
 
 
 def test_edit_distances_empty_batch_and_empty_sequences():
