@@ -18,7 +18,8 @@ from .catalog import (
 )
 from .errors import ExecutionError, PassEvoError, ValidationError
 from .evolution import GAConfig, GenerationRecord, evolve
-from .experiment import ExperimentConfig, TrialResult, measure_baseline, run_trials
+from .config import ExperimentConfig
+from .experiment import TrialResult, measure_baseline, run_trials
 from .fitness import (
     PENALTY,
     BackendConfig,
@@ -28,7 +29,6 @@ from .fitness import (
     SimModel,
     evaluate,
     sequence_digest,
-    simulated_fitness,
     simulated_fitnesses,
     time_execution,
 )

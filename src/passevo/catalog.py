@@ -6,6 +6,9 @@ significant). Both are parsed from plain line-oriented text: one token per
 line, '#' comment lines and blank lines ignored. Tokens are compared byte
 for byte; no normalization is ever applied because they are handed verbatim
 to an external tool. A catalog or sequence is its passes and nothing else.
+
+Every pass-list path a config or the CLI names resolves here: a file, or
+one of the `builtin:` names of the shipped -O3 snapshot.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .errors import ValidationError, input_lines
+from .errors import ValidationError, input_lines, read_input
+
+BUILTIN_CATALOG = "builtin:catalog"
+BUILTIN_BASELINE = "builtin:baseline"
 
 
 def validate_token(name: str) -> str:
@@ -141,3 +147,15 @@ def builtin_baseline(catalog: PassCatalog) -> PassSequence:
     """The shipped legacy -O3 snapshot pipeline, validated against `catalog`."""
     text = resources.files("passevo.data").joinpath("o3_baseline.txt").read_text("utf-8")
     return load_sequence(text, catalog)
+
+
+def resolve_catalog(path: str) -> PassCatalog:
+    if path == BUILTIN_CATALOG:
+        return builtin_catalog()
+    return load_catalog(read_input(path, "catalog"))
+
+
+def resolve_sequence(path: str, catalog: PassCatalog) -> PassSequence:
+    if path == BUILTIN_BASELINE:
+        return builtin_baseline(catalog)
+    return load_sequence(read_input(path, "sequence"), catalog)

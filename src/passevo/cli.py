@@ -4,8 +4,10 @@ Subcommands: evolve (run an experiment from a config file), simulate (same,
 with the backend forced to the simulated landscape), apply (apply a patch
 file to a baseline and print the result), baseline (measure the unmodified
 baseline), stats (t test over improvement percentages from a summary.json or
-a plain number list). Exit codes: 0 success, 1 runtime failure, 2 usage or
-config error. Flags override config-file values.
+a plain number list). Each subcommand names its handler through argparse's
+set_defaults(run=...), and main calls it; simulate is evolve with one more
+override, [backend] kind = simulated. Exit codes: 0 success, 1 runtime
+failure, 2 usage or config error. Flags override config-file values.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import json
 import math
 import sys
 
-from .catalog import serialize_sequence
+from .catalog import resolve_catalog, resolve_sequence, serialize_sequence
 from .config import load_config
 from .errors import ConfigError, ExecutionError, ValidationError, input_lines, read_input
-from .experiment import measure_baseline, resolve_catalog, resolve_sequence, run_trials
+from .experiment import measure_baseline, run_trials, summary_improvements
 from .fitness import KIND_SIMULATED
 from .patches import apply_individual, parse_individual
 from .stats import summarize
@@ -29,6 +31,7 @@ EXIT_USAGE = 2
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(run=cmd_evolve, kind=None)
     parser.add_argument("--config", required=True, help="experiment config file (INI)")
     parser.add_argument("--trials", type=int, help="override [experiment] trials")
     parser.add_argument("--seed", type=int, help="override [ga] rng_seed")
@@ -50,16 +53,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run an experiment on the simulated backend")
     _add_override_flags(p_sim)
+    p_sim.set_defaults(kind=KIND_SIMULATED)
 
     p_apply = sub.add_parser("apply", help="apply a patch file to a baseline sequence")
+    p_apply.set_defaults(run=cmd_apply)
     p_apply.add_argument("--baseline", required=True, help="baseline sequence file")
     p_apply.add_argument("--individual", required=True, help="patch file to apply")
     p_apply.add_argument("--catalog", required=True, help="pass catalog file")
 
     p_base = sub.add_parser("baseline", help="measure the unmodified baseline")
+    p_base.set_defaults(run=cmd_baseline)
     p_base.add_argument("--config", required=True, help="experiment config file (INI)")
 
     p_stats = sub.add_parser("stats", help="t test over improvement percentages")
+    p_stats.set_defaults(run=cmd_stats)
     p_stats.add_argument("input", help="summary.json or a plain list of numbers")
 
     return parser
@@ -73,6 +80,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict[tuple[str, str], str]
         overrides[("ga", "rng_seed")] = str(args.seed)
     if args.output_dir is not None:
         overrides[("experiment", "output_dir")] = args.output_dir
+    if args.kind is not None:
+        overrides[("backend", "kind")] = args.kind
     return overrides
 
 
@@ -82,11 +91,8 @@ def _fmt(value: float | None, fmt: str = ".6g") -> str:
     return format(value, fmt)
 
 
-def cmd_evolve(args: argparse.Namespace, force_simulated: bool = False) -> int:
-    overrides = _overrides_from_args(args)
-    if force_simulated:
-        overrides[("backend", "kind")] = KIND_SIMULATED
-    cfg = load_config(args.config, overrides)
+def cmd_evolve(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config, _overrides_from_args(args))
 
     progress = None
     if args.verbose:
@@ -154,15 +160,7 @@ def _read_improvements(path: str) -> list[float]:
     except json.JSONDecodeError:
         doc = None
     if isinstance(doc, dict):
-        try:
-            numbers = [
-                float(t["percent_improvement"])
-                for t in doc["trials"]
-                if t.get("status") == "ok"
-            ]
-        # a row that is not an object raises AttributeError at .get
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"unrecognized summary document: {exc}") from exc
+        numbers = summary_improvements(doc)
     else:
         try:
             numbers = [float(v) for _, fields in input_lines(text) for v in fields]
@@ -189,18 +187,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "evolve":
-            return cmd_evolve(args)
-        if args.command == "simulate":
-            return cmd_evolve(args, force_simulated=True)
-        if args.command == "apply":
-            return cmd_apply(args)
-        if args.command == "baseline":
-            return cmd_baseline(args)
-        return cmd_stats(args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

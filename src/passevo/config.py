@@ -1,13 +1,15 @@
 """Experiment config files: INI-style text with [experiment], [ga] and
 [backend] sections.
 
-Every key maps one-to-one onto a field of ExperimentConfig, GAConfig or
-BackendConfig; unknown sections or keys are hard errors so a typo cannot
-silently fall back to a default. The field's annotation picks how a value
-reads: `int` and `float` as numbers, `tuple[int, ...]` as integers split on
-commas or spaces, `tuple[str, ...]` split shell-style, anything else as the
-raw string. Range and consistency checks live in the dataclasses, so a
-config built in code gets them too. write_config renders the effective
+This module owns the whole schema: ExperimentConfig, the [experiment]
+section, is defined here next to the section table. Every key maps
+one-to-one onto a field of ExperimentConfig, GAConfig or BackendConfig;
+unknown sections or keys are hard errors so a typo cannot silently fall
+back to a default. The field's annotation picks how a value reads: `int`
+and `float` as numbers, `tuple[int, ...]` as integers split on commas or
+spaces, `tuple[str, ...]` split shell-style, anything else as the raw
+string. Range and consistency checks live in the dataclasses, so a config
+built in code gets them too. write_config renders the effective
 configuration back out in the same format for provenance.
 """
 
@@ -15,13 +17,41 @@ from __future__ import annotations
 
 import configparser
 import shlex
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .catalog import BUILTIN_BASELINE, BUILTIN_CATALOG
 from .errors import ConfigError, read_input, require_file
 from .evolution import GAConfig
-from .experiment import ExperimentConfig
 from .fitness import KIND_EXTERNAL, BackendConfig
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    catalog_path: str = BUILTIN_CATALOG
+    baseline_path: str = BUILTIN_BASELINE
+    ga: GAConfig = GAConfig()
+    backend: BackendConfig = BackendConfig()
+    trials: int = 8
+    output_dir: str = "runs/experiment"
+    seeds: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.seeds is not None and len(self.seeds) != self.trials:
+            raise ValueError(f"seeds list has {len(self.seeds)} entries for {self.trials} trials")
+        # default seeds count up from rng_seed, so checking the ends covers them all
+        ends = (self.trial_seed(0), self.trial_seed(self.trials - 1))
+        for seed in self.seeds if self.seeds is not None else ends:
+            if not 0 <= seed < 2**64:
+                raise ValueError(f"trial seed {seed} does not fit in 64 unsigned bits")
+
+    def trial_seed(self, index: int) -> int:
+        if self.seeds is not None:
+            return self.seeds[index]
+        return self.ga.rng_seed + index
+
 
 # [experiment] holds the other two sections as fields; they are not keys.
 _SECTIONS = {"experiment": ExperimentConfig, "ga": GAConfig, "backend": BackendConfig}

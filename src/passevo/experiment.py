@@ -3,10 +3,11 @@
 Each trial gets its own seed (explicit list, or base seed + trial index) and
 writes history.csv, best_individual.patch and best_sequence.txt into its own
 subdirectory; summary.json at the experiment root collects the per-trial
-scalars and the cross-trial t test. Trials run one after another: wall-clock
-fitness must never compete with a sibling trial for the machine, and for the
-simulated backend sequential execution simply keeps outputs reproducible
-byte for byte.
+scalars and the cross-trial t test. Its row keys live here alone: written
+by _write_summary, read back by summary_improvements. Trials run one after
+another: wall-clock fitness must never compete with a sibling trial for
+the machine, and for the simulated backend sequential execution simply
+keeps outputs reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -20,17 +21,10 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from .catalog import (
-    PassCatalog,
-    PassSequence,
-    builtin_baseline,
-    builtin_catalog,
-    load_catalog,
-    load_sequence,
-    serialize_sequence,
-)
-from .errors import ConfigError, ExecutionError, read_input
-from .evolution import GAConfig, GenerationRecord, evolve
+from .catalog import PassCatalog, PassSequence, resolve_catalog, resolve_sequence, serialize_sequence
+from .config import ExperimentConfig, write_config
+from .errors import ConfigError, ExecutionError
+from .evolution import GenerationRecord, evolve
 from .fitness import (
     KIND_SIMULATED,
     BackendConfig,
@@ -47,37 +41,6 @@ from .fitness import (
 from .patches import Individual, apply_individual, serialize_individual
 from .stats import SummaryStats, percent_improvement, summarize
 
-BUILTIN_CATALOG = "builtin:catalog"
-BUILTIN_BASELINE = "builtin:baseline"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    catalog_path: str = BUILTIN_CATALOG
-    baseline_path: str = BUILTIN_BASELINE
-    ga: GAConfig = GAConfig()
-    backend: BackendConfig = BackendConfig()
-    trials: int = 8
-    output_dir: str = "runs/experiment"
-    seeds: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seeds is not None and len(self.seeds) != self.trials:
-            raise ValueError(f"seeds list has {len(self.seeds)} entries for {self.trials} trials")
-        # default seeds count up from rng_seed, so checking the ends covers them all
-        ends = (self.trial_seed(0), self.trial_seed(self.trials - 1))
-        for seed in self.seeds if self.seeds is not None else ends:
-            if not 0 <= seed < 2**64:
-                raise ValueError(f"trial seed {seed} does not fit in 64 unsigned bits")
-
-    def trial_seed(self, index: int) -> int:
-        if self.seeds is not None:
-            return self.seeds[index]
-        return self.ga.rng_seed + index
-
-
 @dataclass
 class TrialResult:
     trial_index: int
@@ -92,18 +55,6 @@ class TrialResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def resolve_catalog(path: str) -> PassCatalog:
-    if path == BUILTIN_CATALOG:
-        return builtin_catalog()
-    return load_catalog(read_input(path, "catalog"))
-
-
-def resolve_sequence(path: str, catalog: PassCatalog) -> PassSequence:
-    if path == BUILTIN_BASELINE:
-        return builtin_baseline(catalog)
-    return load_sequence(read_input(path, "sequence"), catalog)
 
 
 RecordFn = Callable[[PassSequence], EvaluationRecord]
@@ -165,11 +116,11 @@ def measure_baseline(cfg: ExperimentConfig) -> EvaluationRecord:
     return _score_baseline(build_records_fn(cfg.backend, catalog, baseline), baseline)
 
 
-ProgressFn = Callable[[int, GenerationRecord], None]
+TrialProgressFn = Callable[[int, GenerationRecord], None]
 
 
 def run_trials(
-    cfg: ExperimentConfig, progress: ProgressFn | None = None
+    cfg: ExperimentConfig, progress: TrialProgressFn | None = None
 ) -> tuple[list[TrialResult], SummaryStats | None]:
     """Run every trial, write all artifacts under cfg.output_dir.
 
@@ -179,8 +130,6 @@ def run_trials(
     summary; the summary covers however many trials completed (None if none
     did; see summarize for too few or too flat improvements).
     """
-    from .config import write_config
-
     catalog = resolve_catalog(cfg.catalog_path)
     baseline = resolve_sequence(cfg.baseline_path, catalog)
 
@@ -255,3 +204,12 @@ def _write_summary(path: Path, results: list[TrialResult], summary: SummaryStats
         trials.append(row)
     doc = {"trials": trials, "summary": None if summary is None else asdict(summary)}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
+
+
+def summary_improvements(doc: dict) -> list[float]:
+    """The completed trials' improvements in a parsed summary.json, in trial order."""
+    try:
+        return [float(t["percent_improvement"]) for t in doc["trials"] if t.get("status") == "ok"]
+    # a row that is not an object raises AttributeError at .get
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"unrecognized summary document: {exc}") from exc

@@ -534,10 +534,6 @@ def simulated_fitnesses(seqs: list[PassSequence], model: SimModel) -> list[float
     return [model.base_runtime * (1.0 + d / max(len(model.target), 1)) for d in distances]
 
 
-def simulated_fitness(seq: PassSequence, model: SimModel) -> float:
-    return simulated_fitnesses([seq], model)[0]
-
-
 def simulated_record(digest: str, value: float) -> EvaluationRecord:
     """The record of the sequence with this digest, which the simulated landscape scored `value`."""
     return EvaluationRecord(

@@ -12,7 +12,7 @@ from passevo.evolution import (
     random_patch,
     tournament_select,
 )
-from passevo.fitness import SimModel, perturb_sequence, simulated_fitness, simulated_fitnesses
+from passevo.fitness import SimModel, perturb_sequence, simulated_fitnesses
 from passevo.patches import (
     Individual,
     Patch,
@@ -265,7 +265,7 @@ def test_evolve_hidden_target_regression():
     assert history[0].best_fitness == 1.2
     best = min(history, key=lambda r: r.best_fitness)
     assert best.best_fitness == 1.1
-    assert simulated_fitness(apply_individual(baseline, best.best_individual), model) == 1.1
+    assert simulated_fitnesses([apply_individual(baseline, best.best_individual)], model)[0] == 1.1
 
 
 def test_evolve_history_shape_and_monotone_best():

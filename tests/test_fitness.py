@@ -34,7 +34,6 @@ from passevo.fitness import (
     match_lanes,
     perturb_sequence,
     sequence_digest,
-    simulated_fitness,
     simulated_fitnesses,
     simulated_record,
     time_execution,
@@ -272,22 +271,22 @@ def test_edit_distance_examples():
 def test_simulated_fitness_examples():
     target = PassSequence(("a", "b", "c"))
     model = SimModel(target=target, base_runtime=1.0)
-    assert simulated_fitness(PassSequence(("a", "b", "c")), model) == 1.0
+    assert simulated_fitnesses([PassSequence(("a", "b", "c"))], model)[0] == 1.0
     # one edit away: 1.0 * (1 + 1/3); distance verified by the recursive oracle
     assert recursive_edit_distance(("a", "b"), ("a", "b", "c")) == 1
-    assert simulated_fitness(PassSequence(("a", "b")), model) == pytest.approx(4 / 3, abs=1e-12)
+    assert simulated_fitnesses([PassSequence(("a", "b"))], model)[0] == pytest.approx(4 / 3, abs=1e-12)
     big = SimModel(target=target, base_runtime=2.0)
-    assert simulated_fitness(PassSequence(()), big) == pytest.approx(4.0, abs=1e-12)
+    assert simulated_fitnesses([PassSequence(())], big)[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_simulated_target_is_unique_global_minimum():
     alphabet = ("x", "y")
     target = PassSequence(("x", "y"))
     model = SimModel(target=target, base_runtime=1.0)
-    best = simulated_fitness(target, model)
+    best = simulated_fitnesses([target], model)[0]
     for length in range(len(target) + 2):
         for combo in itertools.product(alphabet, repeat=length):
-            value = simulated_fitness(PassSequence(combo), model)
+            value = simulated_fitnesses([PassSequence(combo)], model)[0]
             if combo == target.passes:
                 assert value == best
             else:
@@ -306,9 +305,9 @@ def test_simulated_fitness_unchanged_on_perturbed_candidates(seed, target_edits,
     candidate = perturb_sequence(target, catalog, edits, rng)
     distance = matrix_edit_distance(candidate.passes, target.passes)
     assert distance == edit_distance(candidate.passes, target.passes) == edits
-    assert simulated_fitness(candidate, model) == 1.5 * (1.0 + distance / max(len(target), 1))
+    assert simulated_fitnesses([candidate], model)[0] == 1.5 * (1.0 + distance / max(len(target), 1))
     assert simulated_fitnesses([candidate, target, candidate], model) == [
-        simulated_fitness(candidate, model), 1.5, simulated_fitness(candidate, model)
+        simulated_fitnesses([candidate], model)[0], 1.5, simulated_fitnesses([candidate], model)[0]
     ]
 
 
@@ -328,7 +327,7 @@ def test_sim_model_rejects_non_finite_or_non_positive_runtime(base_runtime):
 
 def test_penalty_orders_above_any_measurement():
     assert 1e9 < PENALTY
-    assert simulated_fitness(PassSequence(()), SimModel(PassSequence(("a",)), 1e6)) < PENALTY
+    assert simulated_fitnesses([PassSequence(())], SimModel(PassSequence(("a",)), 1e6))[0] < PENALTY
 
 
 def test_simulated_record_shape():

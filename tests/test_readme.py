@@ -10,7 +10,7 @@ from passevo import (
     apply_individual,
     load_catalog,
     parse_individual,
-    simulated_fitness,
+    simulated_fitnesses,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,7 +26,7 @@ def test_library_use_example_runs():
     assert best in history
     assert best.best_fitness == min(record.best_fitness for record in history)
     pipeline = apply_individual(namespace["baseline"], best.best_individual)
-    assert simulated_fitness(pipeline, namespace["model"]) == best.best_fitness
+    assert simulated_fitnesses([pipeline], namespace["model"])[0] == best.best_fitness
 
 
 def test_patch_file_example_parses():
