@@ -75,6 +75,10 @@ class PassSequence:
         return iter(self.passes)
 
 
+# the slot's own descriptor, cheaper than object.__setattr__ (see patches.py)
+_set_passes = PassSequence.__dict__["passes"].__set__
+
+
 def _trusted_sequence(passes: tuple[str, ...]) -> PassSequence:
     """Build a PassSequence from tokens that were all validated already.
 
@@ -82,7 +86,7 @@ def _trusted_sequence(passes: tuple[str, ...]) -> PassSequence:
     from a validated sequence, catalog or Patch.
     """
     seq = object.__new__(PassSequence)
-    object.__setattr__(seq, "passes", passes)
+    _set_passes(seq, passes)
     return seq
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import PassCatalog, PassSequence
-from .patches import Individual, Patch, PatchType, _trusted_patch, apply_individual
+from .patches import Individual, Patch, PatchType, _trusted_individual, _trusted_patch, apply_individual
 
 POSITION_JITTER_SCALE = 0.1
 _PATCH_TYPES = (PatchType.INSERTION, PatchType.DELETION, PatchType.REPLACEMENT)
@@ -85,7 +85,7 @@ def init_population(cfg: GAConfig, catalog: PassCatalog, rng: random.Random) -> 
     lo, hi = cfg.init_genome_len_min, cfg.init_genome_len_max
     for _ in range(cfg.population_size):
         length = lo + rng._randbelow(hi - lo + 1)
-        population.append(Individual(tuple(random_patch(catalog, rng) for _ in range(length))))
+        population.append(_trusted_individual(tuple(random_patch(catalog, rng) for _ in range(length))))
     return population
 
 
@@ -113,7 +113,7 @@ def crossover(
     cb = rng._randbelow(len(b) + 1)
     child1 = (a.patches[:ca] + b.patches[cb:])[:max_len]
     child2 = (b.patches[:cb] + a.patches[ca:])[:max_len]
-    return Individual(child1), Individual(child2)
+    return _trusted_individual(child1), _trusted_individual(child2)
 
 
 def _clamp01(x: float) -> float:
@@ -151,7 +151,7 @@ def mutate(ind: Individual, catalog: PassCatalog, cfg: GAConfig, rng: random.Ran
             genes.append(random_patch(catalog, rng))
         elif can_remove:
             del genes[rng._randbelow(len(genes))]
-    return Individual(tuple(genes))
+    return _trusted_individual(tuple(genes))
 
 
 def evolve(

@@ -206,10 +206,18 @@ def _write_summary(path: Path, results: list[TrialResult], summary: SummaryStats
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
+def _percent(value) -> float:
+    # float() would also take a JSON true or a numeric string
+    if type(value) not in (int, float):
+        raise TypeError(f"percent_improvement {value!r} is not a number")
+    return float(value)
+
+
 def summary_improvements(doc: dict) -> list[float]:
     """The completed trials' improvements in a parsed summary.json, in trial order."""
     try:
-        return [float(t["percent_improvement"]) for t in doc["trials"] if t.get("status") == "ok"]
-    # a row that is not an object raises AttributeError at .get
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return [_percent(t["percent_improvement"]) for t in doc["trials"] if t.get("status") == "ok"]
+    # a row that is not an object raises AttributeError at .get; an int
+    # beyond float range raises OverflowError
+    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"unrecognized summary document: {exc}") from exc

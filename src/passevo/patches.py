@@ -57,6 +57,16 @@ class Individual:
         return iter(self.patches)
 
 
+# The trusted constructors fill each slot through its member descriptor, bound
+# once here and called once per field: that skips object.__setattr__'s name
+# lookup, and the object stays slotted and frozen. A loop over the setters was
+# slower than object.__setattr__.
+_set_ptype = Patch.__dict__["ptype"].__set__
+_set_position = Patch.__dict__["position"].__set__
+_set_value = Patch.__dict__["value"].__set__
+_set_patches = Individual.__dict__["patches"].__set__
+
+
 def _trusted_patch(ptype: PatchType, position: float, value: str | None) -> Patch:
     """Build a Patch from parts that were all validated already.
 
@@ -65,10 +75,17 @@ def _trusted_patch(ptype: PatchType, position: float, value: str | None) -> Patc
     be None exactly for a deletion.
     """
     patch = object.__new__(Patch)
-    object.__setattr__(patch, "ptype", ptype)
-    object.__setattr__(patch, "position", position)
-    object.__setattr__(patch, "value", value)
+    _set_ptype(patch, ptype)
+    _set_position(patch, position)
+    _set_value(patch, value)
     return patch
+
+
+def _trusted_individual(patches: tuple[Patch, ...]) -> Individual:
+    """Build an Individual from a tuple of existing Patch objects, for inner loops."""
+    ind = object.__new__(Individual)
+    _set_patches(ind, patches)
+    return ind
 
 
 def apply_patch(seq: PassSequence, patch: Patch) -> PassSequence:

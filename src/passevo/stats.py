@@ -82,7 +82,13 @@ def student_t_sf(t: float, df: int) -> float:
     """P(T >= t) for a Student t variable with df degrees of freedom."""
     if df < 1:
         raise ValueError("df must be >= 1")
-    half_tail = 0.5 * betainc_regularized(df / 2.0, 0.5, df / (df + t * t))
+    a = df / 2.0
+    x = df / (df + t * t)
+    if x < (a + 1.0) / (a + 2.5):
+        half_tail = 0.5 * betainc_regularized(a, 0.5, x)
+    else:
+        # x rounds to 1.0 for |t| below ~1e-8 sqrt(df); its complement does not
+        half_tail = 0.5 - 0.5 * betainc_regularized(0.5, a, t * t / (df + t * t))
     return half_tail if t >= 0 else 1.0 - half_tail
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,6 +16,19 @@ def make_catalog(n: int, prefix: str = "p") -> PassCatalog:
 
 def make_sequence(catalog: PassCatalog, indices) -> PassSequence:
     return PassSequence(tuple(catalog.passes[i] for i in indices))
+
+
+def assert_trusted_is_public(trusted, public) -> None:
+    """A trusted constructor's object must be the public constructor's:
+    equal, same hash and repr, slotted, and frozen in every field."""
+    assert type(trusted) is type(public)
+    assert not hasattr(trusted, "__dict__") and not hasattr(public, "__dict__")
+    assert trusted == public
+    assert hash(trusted) == hash(public)
+    assert repr(trusted) == repr(public)
+    for f in dataclasses.fields(trusted):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trusted, f.name, getattr(public, f.name))
 
 
 @pytest.fixture

@@ -19,6 +19,8 @@ from passevo.catalog import (
 )
 from passevo.errors import ValidationError
 
+from conftest import assert_trusted_is_public
+
 token = st.text(alphabet="abcdefghijklmnopqrstuvwxyz-0123456789", min_size=1, max_size=12)
 
 
@@ -115,11 +117,7 @@ def test_load_sequence_succeeds_iff_members():
 
 @pytest.mark.parametrize("passes", [(), ("-a",), ("-a", "-b", "-a")])
 def test_trusted_sequence_is_the_public_sequence(passes):
-    trusted, public = _trusted_sequence(passes), PassSequence(passes)
-    assert not hasattr(trusted, "__dict__") and not hasattr(public, "__dict__")
-    assert trusted == public
-    assert hash(trusted) == hash(public)
-    assert repr(trusted) == repr(public)
+    assert_trusted_is_public(_trusted_sequence(passes), PassSequence(passes))
 
 
 def test_search_space_order_examples():

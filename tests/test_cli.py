@@ -331,6 +331,20 @@ def test_stats_malformed_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("rows", [
+    ('{"status": "ok", "percent_improvement": true}', '{"status": "ok", "percent_improvement": "5"}'),
+    ('{"status": "ok", "percent_improvement": false}', '{"status": "ok", "percent_improvement": 1.0}'),
+    ('{"status": "ok", "percent_improvement": 1%s}' % ("0" * 400), '{"status": "ok", "percent_improvement": 1.0}'),
+], ids=["true-and-string", "false", "int-beyond-float"])
+def test_stats_non_numeric_summary_exit_two(tmp_path, capsys, rows):
+    data = tmp_path / "summary.json"
+    data.write_text('{"trials": [%s, %s]}' % rows)
+    assert main(["stats", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unrecognized summary document: ")
+
+
 # --- input files -------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

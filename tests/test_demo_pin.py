@@ -5,7 +5,8 @@ full-matrix edit distance and per-token validation on every sequence, so they
 hold the lane-packed bit-parallel distance, with each lane's shared ends
 skipped, and validate-once sequences to the same artifacts, byte for byte,
 and likewise the GA operators' direct Random._randbelow draws and the
-slotted value types (Patch, Individual, PassSequence, EvaluationRecord).
+slotted value types (Patch, Individual, PassSequence, EvaluationRecord),
+which the inner loops fill through their slot descriptors.
 The low-reuse sim-fresh configuration, far from its target and with few
 repeats, is pinned against the benchmark's committed reference, which this
 file only reads.

@@ -39,7 +39,14 @@ from passevo.fitness import (
     time_execution,
 )
 
-from conftest import FAKE_TOOL, external_config_text, fake_backend, make_catalog, write_test_inputs
+from conftest import (
+    FAKE_TOOL,
+    assert_trusted_is_public,
+    external_config_text,
+    fake_backend,
+    make_catalog,
+    write_test_inputs,
+)
 
 
 # --- independent oracle: plain recursive edit distance -----------------------
@@ -340,10 +347,7 @@ def test_simulated_record_shape():
     public = EvaluationRecord(
         sequence_digest=digest, runs=1, samples=(1.5,), mean=1.5, sample_stddev=0.0, status=EvaluationStatus.OK
     )
-    assert not hasattr(record, "__dict__")
-    assert record == public
-    assert hash(record) == hash(public)
-    assert repr(record) == repr(public)
+    assert_trusted_is_public(record, public)
     # evaluate's exe dedupe copies a timed record under another digest this way
     copy = replace(record, sequence_digest="0" * 64)
     assert copy.sequence_digest == "0" * 64

@@ -10,6 +10,7 @@ from passevo.patches import (
     Individual,
     Patch,
     PatchType,
+    _trusted_individual,
     _trusted_patch,
     apply_individual,
     apply_patch,
@@ -17,7 +18,7 @@ from passevo.patches import (
     serialize_individual,
 )
 
-from conftest import make_catalog
+from conftest import assert_trusted_is_public, make_catalog
 
 
 def seq(*names: str) -> PassSequence:
@@ -146,16 +147,19 @@ def test_patch_invariants():
     "parts", [(PatchType.INSERTION, 0.25, "-a"), (PatchType.DELETION, 1.0, None), (PatchType.REPLACEMENT, 0.0, "-b")]
 )
 def test_trusted_patch_is_the_public_patch(parts):
-    trusted, public = _trusted_patch(*parts), Patch(*parts)
-    assert not hasattr(trusted, "__dict__") and not hasattr(public, "__dict__")
-    assert trusted == public
-    assert hash(trusted) == hash(public)
-    assert repr(trusted) == repr(public)
+    assert_trusted_is_public(_trusted_patch(*parts), Patch(*parts))
 
 
-def test_individual_is_slotted():
-    assert not hasattr(Individual(), "__dict__")
-    assert not hasattr(Individual((Patch(PatchType.DELETION, 0.5),)), "__dict__")
+@pytest.mark.parametrize(
+    "patches",
+    [
+        (),
+        (Patch(PatchType.DELETION, 0.5),),
+        (Patch(PatchType.INSERTION, 0.25, "-a"), Patch(PatchType.REPLACEMENT, 1.0, "-b")),
+    ],
+)
+def test_individual_is_slotted(patches):
+    assert_trusted_is_public(_trusted_individual(patches), Individual(patches))
 
 
 # --- apply_individual --------------------------------------------------------

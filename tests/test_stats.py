@@ -77,8 +77,8 @@ def test_betainc_closed_form_uniform():
         assert betainc_regularized(1.0, 1.0, x) == pytest.approx(x, abs=1e-12)
 
 
-@pytest.mark.parametrize("t", [-4.0, -1.0, 0.0, 0.5, 2.0, 5.0, 11.935652784626942, 20.0])
-@pytest.mark.parametrize("df", [1, 2, 7, 30])
+@pytest.mark.parametrize("t", [-4.0, -1.0, -1e-9, 0.0, 1e-9, 1e-5, 0.5, 2.0, 5.0, 11.935652784626942, 20.0, 60.0])
+@pytest.mark.parametrize("df", [1, 2, 3, 7, 8, 30, 31, 200])
 def test_student_t_sf_matches_integration_oracle(t, df):
     assert student_t_sf(t, df) == pytest.approx(t_sf_oracle(t, df), rel=1e-10, abs=1e-15)
 
