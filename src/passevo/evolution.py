@@ -3,8 +3,9 @@
 Fitness is minimized (mean runtime in seconds). The loop is fully
 deterministic given the seed: a single random.Random instance drives every
 stochastic decision in a fixed order, and fitness evaluation never touches
-it. Integer draws call Random._randbelow, which CPython's choice, randrange
-and randint reduce to for the arguments used here, so the stream is theirs;
+it. An integer draw below n is inlined as getrandbits(n.bit_length()), redrawn
+while >= n: the loop that CPython's choice, randrange and randint run for the
+arguments used here, so the stream is theirs, without their call frames;
 tests/test_evolution.py::test_direct_draws_match_the_public_random_methods
 guards that. Each generation is scored in one batch: FitnessFn takes the
 whole population's pass sequences and returns one fitness per sequence, in
@@ -16,15 +17,16 @@ live in GAConfig and none of the defaults is canonical.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import PassCatalog, PassSequence
-from .patches import Individual, Patch, PatchType, _trusted_individual, _trusted_patch, apply_individual
+from .patches import _DELETION, Individual, Patch, PatchType, _trusted_individual, _trusted_patch, apply_individual
 
 POSITION_JITTER_SCALE = 0.1
-_PATCH_TYPES = (PatchType.INSERTION, PatchType.DELETION, PatchType.REPLACEMENT)
+_PATCH_TYPES = (PatchType.INSERTION, _DELETION, PatchType.REPLACEMENT)
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,29 @@ ProgressFn = Callable[[GenerationRecord], None]
 
 def random_patch(catalog: PassCatalog, rng: random.Random) -> Patch:
     """Draw a uniformly random valid patch over the catalog."""
-    ptype = _PATCH_TYPES[rng._randbelow(3)]
-    position = rng.random()
-    value = None if ptype is PatchType.DELETION else catalog.passes[rng._randbelow(len(catalog.passes))]
-    return _trusted_patch(ptype, position, value)
+    getrandbits, passes = rng.getrandbits, catalog.passes
+    t = getrandbits(2)
+    while t >= 3:
+        t = getrandbits(2)
+    ptype, position = _PATCH_TYPES[t], rng.random()
+    if ptype is _DELETION:
+        return _trusted_patch(ptype, position, None)
+    n, bits = len(passes), len(passes).bit_length()
+    i = getrandbits(bits)
+    while i >= n:
+        i = getrandbits(bits)
+    return _trusted_patch(ptype, position, passes[i])
 
 
 def init_population(cfg: GAConfig, catalog: PassCatalog, rng: random.Random) -> list[Individual]:
     population = []
-    lo, hi = cfg.init_genome_len_min, cfg.init_genome_len_max
+    lo, n = cfg.init_genome_len_min, cfg.init_genome_len_max - cfg.init_genome_len_min + 1
+    getrandbits, bits = rng.getrandbits, n.bit_length()
     for _ in range(cfg.population_size):
-        length = lo + rng._randbelow(hi - lo + 1)
-        population.append(_trusted_individual(tuple(random_patch(catalog, rng) for _ in range(length))))
+        extra = getrandbits(bits)
+        while extra >= n:
+            extra = getrandbits(bits)
+        population.append(_trusted_individual(tuple(random_patch(catalog, rng) for _ in range(lo + extra))))
     return population
 
 
@@ -96,10 +109,14 @@ def tournament_select(
     rng: random.Random,
 ) -> Individual:
     """Sample k with replacement, return the fittest; ties keep the earliest sample."""
-    randbelow, n = rng._randbelow, len(population)
-    best_i = randbelow(n)
+    getrandbits, n, bits = rng.getrandbits, len(population), len(population).bit_length()
+    best_i = getrandbits(bits)
+    while best_i >= n:
+        best_i = getrandbits(bits)
     for _ in range(k - 1):
-        i = randbelow(n)
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
         if fitnesses[i] < fitnesses[best_i]:
             best_i = i
     return population[best_i]
@@ -109,8 +126,14 @@ def crossover(
     a: Individual, b: Individual, rng: random.Random, max_len: int
 ) -> tuple[Individual, Individual]:
     """One-point crossover; each child truncated to max_len genes."""
-    ca = rng._randbelow(len(a) + 1)
-    cb = rng._randbelow(len(b) + 1)
+    getrandbits, na, nb = rng.getrandbits, len(a) + 1, len(b) + 1
+    bits_a, bits_b = na.bit_length(), nb.bit_length()
+    ca = getrandbits(bits_a)
+    while ca >= na:
+        ca = getrandbits(bits_a)
+    cb = getrandbits(bits_b)
+    while cb >= nb:
+        cb = getrandbits(bits_b)
     child1 = (a.patches[:ca] + b.patches[cb:])[:max_len]
     child2 = (b.patches[:cb] + a.patches[ca:])[:max_len]
     return _trusted_individual(child1), _trusted_individual(child2)
@@ -122,20 +145,30 @@ def _clamp01(x: float) -> float:
 
 def _edit_gene(gene: Patch, catalog: PassCatalog, rng: random.Random) -> Patch:
     """Retype, move or revalue one gene; every part comes from `gene`, the catalog or _clamp01."""
-    kind = rng._randbelow(3)
-    passes = catalog.passes
-    if kind == 0:
-        new_type = _PATCH_TYPES[rng._randbelow(3)]
-        if new_type is PatchType.DELETION:
-            return _trusted_patch(new_type, gene.position, None)
-        value = gene.value if gene.value is not None else passes[rng._randbelow(len(passes))]
-        return _trusted_patch(new_type, gene.position, value)
+    getrandbits, ptype = rng.getrandbits, gene.ptype
+    kind = getrandbits(2)
+    while kind >= 3:
+        kind = getrandbits(2)
     if kind == 1:
         position = _clamp01(gene.position + rng.gauss(0.0, POSITION_JITTER_SCALE))
-        return _trusted_patch(gene.ptype, position, gene.value)
-    if gene.value is None:
+        return _trusted_patch(ptype, position, gene.value)
+    if kind == 0:
+        t = getrandbits(2)
+        while t >= 3:
+            t = getrandbits(2)
+        ptype = _PATCH_TYPES[t]
+        if ptype is _DELETION:
+            return _trusted_patch(ptype, gene.position, None)
+        if gene.value is not None:
+            return _trusted_patch(ptype, gene.position, gene.value)
+    elif gene.value is None:
         return gene
-    return _trusted_patch(gene.ptype, gene.position, passes[rng._randbelow(len(passes))])
+    passes = catalog.passes
+    n, bits = len(passes), len(passes).bit_length()
+    i = getrandbits(bits)
+    while i >= n:
+        i = getrandbits(bits)
+    return _trusted_patch(ptype, gene.position, passes[i])
 
 
 def mutate(ind: Individual, catalog: PassCatalog, cfg: GAConfig, rng: random.Random) -> Individual:
@@ -150,7 +183,11 @@ def mutate(ind: Individual, catalog: PassCatalog, cfg: GAConfig, rng: random.Ran
         if can_append and (not can_remove or rand() < 0.5):
             genes.append(random_patch(catalog, rng))
         elif can_remove:
-            del genes[rng._randbelow(len(genes))]
+            getrandbits, n, bits = rng.getrandbits, len(genes), len(genes).bit_length()
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            del genes[i]
     return _trusted_individual(tuple(genes))
 
 
@@ -190,8 +227,8 @@ def evolve(
         if generation == cfg.generations - 1:
             break
 
-        ranked = sorted(range(len(population)), key=fitnesses.__getitem__)
-        next_population = [population[i] for i in ranked[: cfg.elitism_count]]
+        elites = heapq.nsmallest(cfg.elitism_count, range(len(population)), key=fitnesses.__getitem__)
+        next_population = [population[i] for i in elites]
         while len(next_population) < cfg.population_size:
             parent1 = tournament_select(population, fitnesses, cfg.tournament_size, rng)
             parent2 = tournament_select(population, fitnesses, cfg.tournament_size, rng)

@@ -155,7 +155,7 @@ class EvaluationRecord:
 
     @property
     def fitness(self) -> float:
-        return self.mean if self.status is EvaluationStatus.OK else PENALTY
+        return self.mean if self.status is _OK else PENALTY
 
 
 def sequence_digest(seq: PassSequence) -> str:
@@ -176,6 +176,11 @@ class EvaluationCache:
     linked to, one copy of the bytes per distinct executable, for
     get_linked(); a resumed run links each IR once more.
     """
+
+    # The JSON types that a persisted row's fields may take; a bool is not a number here,
+    # and put() writes a non-finite mean or stddev as null.
+    _ROW_TYPES = {"digest": (str,), "runs": (int,), "mean": (float, int, type(None)),
+                  "stddev": (float, int, type(None)), "diagnostics": (str,), "exe": (str, type(None))}
 
     def __init__(self, path: Path | str | None = None):
         self._records: dict[str, EvaluationRecord] = {}
@@ -203,16 +208,20 @@ class EvaluationCache:
                 continue
             try:
                 row = json.loads(line)
+                wrong = [key for key, types in self._ROW_TYPES.items() if key in row and type(row[key]) not in types]
+                wrong += [key for key in ("mean", "stddev") if row[key] is not None and not math.isfinite(row[key])]
+                if wrong:
+                    raise ValueError(f"bad value for {', '.join(wrong)}")
                 record = EvaluationRecord(
                     sequence_digest=row["digest"],
-                    runs=int(row["runs"]),
+                    runs=row["runs"],
                     samples=(),
                     mean=PENALTY if row["mean"] is None else float(row["mean"]),
                     sample_stddev=0.0 if row["stddev"] is None else float(row["stddev"]),
                     status=EvaluationStatus(row["status"]),
                     diagnostics=row.get("diagnostics", ""),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: line {index} of the evaluation cache is not a record: {exc!r}") from exc
             self._records.setdefault(record.sequence_digest, record)
             if row.get("exe") is not None:
@@ -544,6 +553,8 @@ _set_mean = EvaluationRecord.__dict__["mean"].__set__
 _set_stddev = EvaluationRecord.__dict__["sample_stddev"].__set__
 _set_status = EvaluationRecord.__dict__["status"].__set__
 _set_diagnostics = EvaluationRecord.__dict__["diagnostics"].__set__
+# Hot paths read OK as a global: a class-attribute enum lookup is slow on CPython 3.11 (3.12 made it cheaper).
+_OK = EvaluationStatus.OK
 
 
 def simulated_record(digest: str, value: float) -> EvaluationRecord:
@@ -554,7 +565,7 @@ def simulated_record(digest: str, value: float) -> EvaluationRecord:
     _set_samples(record, (value,))
     _set_mean(record, value)
     _set_stddev(record, 0.0)
-    _set_status(record, EvaluationStatus.OK)
+    _set_status(record, _OK)
     _set_diagnostics(record, "")
     return record
 

@@ -4,7 +4,10 @@ The digests in simulated_demo_digests.json were recorded with the
 full-matrix edit distance and per-token validation on every sequence, so they
 hold the lane-packed bit-parallel distance, with each lane's shared ends
 skipped, and validate-once sequences to the same artifacts, byte for byte,
-and likewise the GA operators' direct Random._randbelow draws and the
+and likewise the GA operators' inline getrandbits draws, the loop that
+Random._randbelow runs (test_evolution.py's
+test_direct_draws_match_the_public_random_methods guards it), the
+module-level enum constants, the heapq.nsmallest elites and the
 slotted value types (Patch, Individual, PassSequence, EvaluationRecord),
 which the inner loops fill through their slot descriptors.
 The low-reuse sim-fresh configuration, far from its target and with few

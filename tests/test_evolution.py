@@ -1,4 +1,9 @@
+import csv
+import hashlib
+import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,29 +32,46 @@ from conftest import make_catalog, make_sequence
 
 # --- the draw stream -----------------------------------------------------------
 
+def inline_below(rng, n):
+    """The integer draw below n that evolution.py writes inline."""
+    getrandbits, bits = rng.getrandbits, n.bit_length()
+    x = getrandbits(bits)
+    while x >= n:
+        x = getrandbits(bits)
+    return x
+
+
 @settings(max_examples=300)
 @given(
     st.integers(0, 2**64 - 1),
     st.lists(
-        st.tuples(st.sampled_from(["choice", "randrange", "randint"]), st.integers(1, 300), st.integers(0, 40)),
+        st.tuples(
+            st.sampled_from(["choice", "randrange", "randint"]),
+            st.sampled_from(["_randbelow", "inline"]),
+            st.integers(1, 300) | st.sampled_from([2**j for j in range(12)]),
+            st.integers(0, 40),
+        ),
         min_size=1,
         max_size=30,
     ),
 )
 def test_direct_draws_match_the_public_random_methods(seed, draws):
-    # evolution.py draws through Random._randbelow in the three forms below; each
-    # must give, in order, what the public method gives on a twin generator.
+    # An integer draw below n, through Random._randbelow or the inline getrandbits
+    # loop of evolution.py, in the three forms below, must give, in order, what
+    # the public method gives on a twin generator; n = 1 and powers of two are
+    # the edges of the rejection loop.
     direct, public = random.Random(seed), random.Random(seed)
-    for form, n, a in draws:
+    for form, drawer, n, a in draws:
+        below = direct._randbelow if drawer == "_randbelow" else lambda n: inline_below(direct, n)
         if form == "choice":
             seq = tuple(f"-p{i}" for i in range(n))
-            got, want = seq[direct._randbelow(len(seq))], public.choice(seq)
+            got, want = seq[below(len(seq))], public.choice(seq)
         elif form == "randrange":
-            got, want = direct._randbelow(n), public.randrange(n)
+            got, want = below(n), public.randrange(n)
         else:
             b = a + n - 1
-            got, want = a + direct._randbelow(b - a + 1), public.randint(a, b)
-        assert got == want, (form, n, a)
+            got, want = a + below(b - a + 1), public.randint(a, b)
+        assert got == want, (form, drawer, n, a)
     assert direct.getstate() == public.getstate()
 
 
@@ -340,3 +362,64 @@ def test_ga_built_genes_pass_the_public_checks(seed):
             genes += 1
         assert parse_individual(serialize_individual(ind), catalog) == ind
     assert genes > 0
+
+
+# --- pinned histories ----------------------------------------------------------
+
+# Configurations that the demo pins never reach: no elites or several among
+# tied fitnesses, larger tournaments, a population of one, one-gene genomes
+# and a one-pass catalog. Each digest is the sha256 of render_history's text,
+# so a change to any draw site or to the elites' tie order changes it.
+HISTORY_DIGESTS = json.loads((Path(__file__).parent / "evolve_history_digests.json").read_text("utf-8"))
+PINNED_RUNS = {  # name: GAConfig overrides, fitness, catalog size
+    "elitism-0-tied": (dict(elitism_count=0), "constant", 16),
+    "elitism-3-tied": (dict(elitism_count=3), "constant", 16),
+    "elitism-3-three-levels": (dict(elitism_count=3), "three-levels", 16),
+    "tournament-2": (dict(tournament_size=2), "simulated", 16),
+    "tournament-5": (dict(tournament_size=5), "simulated", 16),
+    "population-1": (dict(population_size=1, elitism_count=0, mutation_rate=1.0), "simulated", 16),
+    "max-genome-len-1": (dict(init_genome_len_max=1, max_genome_len=1, mutation_rate=1.0), "simulated", 16),
+    "one-pass-catalog": (dict(mutation_rate=1.0), "three-levels", 1),
+}
+
+
+def _pinned_run(name):
+    overrides, fitness, catalog_size = PINNED_RUNS[name]
+    catalog, baseline, model = hidden_target_setup()
+    if catalog_size == 1:
+        catalog = make_catalog(1)
+        baseline = make_sequence(catalog, [0, 0, 0])
+    fitness_fns = {
+        "constant": lambda seqs: [1.0] * len(seqs),
+        # three levels, so most of a generation ties with someone
+        "three-levels": lambda seqs: [float(len(seq) % 3) for seq in seqs],
+        "simulated": lambda seqs: simulated_fitnesses(seqs, model),
+    }
+    base = dict(population_size=8, generations=6, mutation_rate=0.8, per_gene_mutation_rate=0.5, rng_seed=11)
+    return GAConfig(**{**base, **overrides}), baseline, catalog, fitness_fns[fitness]
+
+
+def render_history(cfg, baseline, catalog, fitness):
+    """history.csv's rows, each with its best genome and every pipeline the generation scored."""
+    batches = []
+
+    def recording_fitness(seqs):
+        batches.append(seqs)
+        return fitness(seqs)
+
+    history = evolve(cfg, baseline, catalog, recording_fitness)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["generation", "best_fitness", "mean_fitness", "best_individual", "pipelines"])
+    for record, batch in zip(history, batches, strict=True):
+        writer.writerow([
+            record.generation, repr(record.best_fitness), repr(record.mean_fitness),
+            serialize_individual(record.best_individual), "|".join(" ".join(seq.passes) for seq in batch),
+        ])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_evolve_history_is_pinned(name):
+    text = render_history(*_pinned_run(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == HISTORY_DIGESTS[name]

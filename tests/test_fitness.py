@@ -1013,6 +1013,16 @@ def test_cache_rejects_malformed_line_before_the_last(tmp_path):
         json.dumps({**row, "status": "okay"}),
         json.dumps({key: value for key, value in row.items() if key != "runs"}),
         json.dumps([row]),
+        json.dumps({**row, "exe": []}),
+        json.dumps({**row, "exe": {"sha256": "d"}}),
+        json.dumps({**row, "digest": 5}),
+        json.dumps({**row, "mean": True}),
+        json.dumps({**row, "mean": 10**400}),
+        json.dumps({**row, "mean": math.nan}),
+        json.dumps({**row, "stddev": math.inf}),
+        json.dumps(row).replace('"mean": 2.0', '"mean": 1e400'),
+        json.dumps({**row, "runs": 1.7}),
+        json.dumps({**row, "diagnostics": 7}),
     ]
     # a whole line that is not a record is no torn tail, even when it is the last,
     # and a torn tail after it is not cut either
@@ -1024,6 +1034,20 @@ def test_cache_rejects_malformed_line_before_the_last(tmp_path):
         with pytest.raises(ConfigError, match=re.escape(f"{path}: line 2 ")):
             EvaluationCache(path)
         assert path.read_text("utf-8") == text
+
+
+def test_cache_loads_null_statistics_and_a_missing_or_null_exe(tmp_path):
+    path = tmp_path / "eval_cache.jsonl"
+    failed = {"digest": "ab", "status": "timeout", "runs": 3, "mean": None, "stddev": None, "diagnostics": "slow"}
+    timed = {**json.loads(_cache_line("bc", 2.5)), "exe": "e" * 64}
+    path.write_text("".join(json.dumps(row) + "\n" for row in (failed, {**timed, "digest": "cd", "exe": None}, timed)))
+    cache = EvaluationCache(path)
+    assert (cache.get("ab").status, cache.get("ab").fitness, cache.get("ab").sample_stddev) == (
+        EvaluationStatus.TIMEOUT, PENALTY, 0.0
+    )
+    assert cache.get("cd").mean == 2.5 and cache.get("cd").diagnostics == ""
+    assert cache.get_timed("e" * 64) is cache.get("bc")
+    assert len(cache) == 3
 
 
 def test_corrupt_cache_row_exits_two(tmp_path, capsys):
