@@ -82,8 +82,8 @@ _set_passes = PassSequence.__dict__["passes"].__set__
 def _trusted_sequence(passes: tuple[str, ...]) -> PassSequence:
     """Build a PassSequence from tokens that were all validated already.
 
-    For inner loops only: it skips __post_init__, so every token must come
-    from a validated sequence, catalog or Patch.
+    It skips __post_init__, so every token must come from a validated
+    sequence, catalog or Patch, or have passed validate_token in a reader.
     """
     seq = object.__new__(PassSequence)
     _set_passes(seq, passes)
@@ -121,7 +121,7 @@ def load_sequence(text: str, catalog: PassCatalog) -> PassSequence:
         if token not in catalog:
             raise ValidationError(f"pass {token!r} on line {lineno} is not in the catalog")
         names.append(token)
-    return PassSequence(tuple(names))
+    return _trusted_sequence(tuple(names))
 
 
 def serialize_catalog(catalog: PassCatalog) -> str:

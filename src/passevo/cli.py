@@ -19,7 +19,7 @@ import sys
 
 from .catalog import resolve_catalog, resolve_sequence, serialize_sequence
 from .config import load_config
-from .errors import ConfigError, ExecutionError, ValidationError, input_lines, read_input
+from .errors import ExecutionError, ValidationError, input_lines, read_input
 from .experiment import measure_baseline, run_trials, summary_improvements
 from .fitness import KIND_SIMULATED
 from .patches import apply_individual, parse_individual
@@ -165,9 +165,9 @@ def _read_improvements(path: str) -> list[float]:
         try:
             numbers = [float(v) for _, fields in input_lines(text) for v in fields]
         except ValueError as exc:
-            raise ConfigError(f"not a list of numbers: {exc}") from exc
+            raise ValidationError(f"not a list of numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in numbers):
-        raise ConfigError("improvement values must be finite")
+        raise ValidationError("improvement values must be finite")
     return numbers
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .catalog import BUILTIN_BASELINE, BUILTIN_CATALOG
-from .errors import ConfigError, read_input, require_file
+from .errors import ValidationError, read_input, require_file
 from .evolution import GAConfig
 from .fitness import KIND_EXTERNAL, BackendConfig
 
@@ -69,12 +69,12 @@ def _section_kwargs(parser, section: str) -> dict:
     kwargs = {}
     for key, raw in parser.items(section) if parser.has_section(section) else ():
         if key not in types:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            raise ValidationError(f"unknown key {key!r} in section [{section}]")
         convert = _CONVERTERS.get(types[key].removesuffix(" | None"), str)
         try:
             kwargs[key] = convert(raw)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+            raise ValidationError(f"[{section}] {key}: {exc}") from exc
     return kwargs
 
 
@@ -83,14 +83,14 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        raise ValidationError(f"config parse error: {exc}") from exc
 
     # configparser keeps [DEFAULT] out of sections() and copies its keys into every section
     if parser.defaults():
-        raise ConfigError(f"unknown section [{parser.default_section}]")
+        raise ValidationError(f"unknown section [{parser.default_section}]")
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ValidationError(f"unknown section [{section}]")
 
     if overrides:
         # a new base seed or trial count supersedes the file's per-trial seeds
@@ -108,7 +108,7 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
             **_section_kwargs(parser, "experiment"),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValidationError(str(exc)) from exc
 
     if cfg.backend.kind == KIND_EXTERNAL:
         require_file(cfg.backend.source_path, "source")

@@ -1,12 +1,11 @@
-"""The package's four exception classes and its readers of user text.
+"""The package's three exception classes and its readers of user text.
 
 PassEvoError, never raised itself, is the base for library callers. A
-ValidationError (malformed input: a file, config, flag or argument) makes
-the CLI exit 2, as does its subclass ConfigError (a missing, unreadable or
-malformed config or input file). An ExecutionError (a failure at run time:
-broken baseline, degenerate statistics) exits 1. read_input reads a
-user-supplied file; input_lines splits line-based text into fields,
-skipping blank and '#' comment lines.
+ValidationError (bad input: a missing, unreadable or malformed file,
+config, flag or argument) makes the CLI exit 2. An ExecutionError (a
+failure at run time: broken baseline, degenerate statistics) exits 1.
+read_input reads a user-supplied file; input_lines splits line-based text
+into fields, skipping blank and '#' comment lines.
 """
 
 from pathlib import Path
@@ -20,31 +19,27 @@ class ValidationError(PassEvoError):
     pass
 
 
-class ConfigError(ValidationError):
-    """A missing or malformed config, catalog, sequence or input file."""
-
-
 class ExecutionError(PassEvoError):
     pass
 
 
 def require_file(path: str | Path, what: str) -> Path:
-    """The path as a Path; ConfigError if it names no regular file."""
+    """The path as a Path; ValidationError if it names no regular file."""
     file = Path(path)
     if not file.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
+        raise ValidationError(f"{what} file not found: {path}")
     return file
 
 
 def read_input(path: str | Path, what: str) -> str:
     """Read a user-supplied text file as UTF-8.
 
-    A missing, unreadable or undecodable file is a ConfigError naming it.
+    A missing, unreadable or undecodable file is a ValidationError naming it.
     """
     try:
         return require_file(path, what).read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def input_lines(text: str):

@@ -18,6 +18,7 @@ live in GAConfig and none of the defaults is canonical.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -202,9 +203,9 @@ def evolve(
     The run's best-ever is min(history, key=lambda r: r.best_fitness).
 
     fitness_fn scores each generation in one call (module docstring); a result
-    of another length is a ValueError. It must be total: failed evaluations
-    come back as a penalty value, never as an exception, so one broken
-    candidate cannot abort the run.
+    of another length, or with a NaN mean, is a ValueError. It must be total:
+    failed evaluations come back as a penalty value, never as an exception, so
+    one broken candidate cannot abort the run.
     """
     rng = random.Random(cfg.rng_seed)
     population = init_population(cfg, catalog, rng)
@@ -214,11 +215,14 @@ def evolve(
         fitnesses = fitness_fn([apply_individual(baseline, ind) for ind in population])
         if len(fitnesses) != len(population):
             raise ValueError(f"fitness_fn returned {len(fitnesses)} values for {len(population)} sequences")
+        mean_fitness = sum(fitnesses) / len(fitnesses)
+        if math.isnan(mean_fitness):
+            raise ValueError("fitness_fn returned NaN, or both +inf and -inf, in one batch")
         gen_best = min(range(len(population)), key=fitnesses.__getitem__)
         record = GenerationRecord(
             generation=generation,
             best_fitness=fitnesses[gen_best],
-            mean_fitness=sum(fitnesses) / len(fitnesses),
+            mean_fitness=mean_fitness,
             best_individual=population[gen_best],
         )
         history.append(record)

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .catalog import PassCatalog, PassSequence, resolve_catalog, resolve_sequence, serialize_sequence
 from .config import ExperimentConfig, write_config
-from .errors import ConfigError, ExecutionError
+from .errors import ExecutionError, ValidationError
 from .evolution import GenerationRecord, evolve
 from .fitness import (
     KIND_SIMULATED,
@@ -138,7 +138,7 @@ def run_trials(
         out_root.mkdir(parents=True, exist_ok=True)
         write_config(cfg, out_root / "effective_config.ini")
     except OSError as exc:
-        raise ConfigError(f"cannot write output directory {cfg.output_dir}: {exc}") from exc
+        raise ValidationError(f"cannot write output directory {cfg.output_dir}: {exc}") from exc
 
     records_fn = build_records_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
     fitness_fn = lambda seqs: [record.fitness for record in records_fn(seqs)]
@@ -220,4 +220,4 @@ def summary_improvements(doc: dict) -> list[float]:
     # a row that is not an object raises AttributeError at .get; an int
     # beyond float range raises OverflowError
     except (AttributeError, KeyError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"unrecognized summary document: {exc}") from exc
+        raise ValidationError(f"unrecognized summary document: {exc}") from exc

@@ -77,8 +77,8 @@ from itertools import compress, count, repeat, zip_longest
 from operator import ne
 from pathlib import Path
 
-from .catalog import PassCatalog, PassSequence
-from .errors import ConfigError
+from .catalog import PassCatalog, PassSequence, _trusted_sequence
+from .errors import ValidationError
 
 PENALTY = float("inf")
 
@@ -198,7 +198,7 @@ class EvaluationCache:
         A row is whole if and only if it ends in a newline, as put() writes
         it. A run killed mid-append leaves bytes after the last newline; they
         are cut, so later appends start on a fresh line. Every whole non-blank
-        line must be a record, or a ConfigError names it and nothing is cut.
+        line must be a record, or a ValidationError names it and nothing is cut.
         """
         data = path.read_bytes()
         whole = data.rfind(b"\n") + 1
@@ -222,7 +222,7 @@ class EvaluationCache:
                     diagnostics=row.get("diagnostics", ""),
                 )
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: line {index} of the evaluation cache is not a record: {exc!r}") from exc
+                raise ValidationError(f"{path}: line {index} of the evaluation cache is not a record: {exc!r}") from exc
             self._records.setdefault(record.sequence_digest, record)
             if row.get("exe") is not None:
                 self._timed.setdefault(row["exe"], record)
@@ -401,7 +401,7 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> E
 
     Total for candidates: every failure of one comes back as a record, never
     as an exception; a build directory that cannot be created is a
-    ConfigError. The cache short-circuits repeat evaluations by sequence
+    ValidationError. The cache short-circuits repeat evaluations by sequence
     digest, repeat links of the same optimized IR, and repeat timings of a
     byte-identical executable (the record is copied under this sequence's
     digest). A record for a tool or program that could not be started is
@@ -420,7 +420,7 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> E
             Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
         build_dir = tempfile.TemporaryDirectory(prefix="passevo-", dir=cfg.workdir or None)
     except OSError as exc:
-        raise ConfigError(f"cannot create a build directory (see [backend] workdir): {exc}") from exc
+        raise ValidationError(f"cannot create a build directory (see [backend] workdir): {exc}") from exc
     exe_digest = None
     try:
         with build_dir as tmp:
@@ -598,8 +598,8 @@ def perturb_sequence(
                 if not others:
                     continue
                 passes[i] = rng.choice(others)
-        candidate = PassSequence(tuple(passes))
+        candidate = _trusted_sequence(tuple(passes))
         if edit_distance(candidate.passes, baseline.passes) == n_edits:
             return candidate
     extra = tuple(rng.choice(catalog.passes) for _ in range(n_edits))
-    return PassSequence(baseline.passes + extra)
+    return _trusted_sequence(baseline.passes + extra)

@@ -72,9 +72,9 @@ _INSERTION, _DELETION = PatchType.INSERTION, PatchType.DELETION
 def _trusted_patch(ptype: PatchType, position: float, value: str | None) -> Patch:
     """Build a Patch from parts that were all validated already.
 
-    For inner loops only: it skips __post_init__, so the position must lie in
-    [0, 1] and the value must come from a catalog or an existing Patch, and
-    be None exactly for a deletion.
+    It skips __post_init__, so the position must lie in [0, 1] and the value
+    must come from a catalog or an existing Patch, and be None exactly for a
+    deletion.
     """
     patch = object.__new__(Patch)
     _set_ptype(patch, ptype)
@@ -165,5 +165,5 @@ def parse_individual(text: str, catalog: PassCatalog) -> Individual:
         value = parts[2] if want == 3 else None
         if value is not None and value not in catalog:
             raise ValidationError(f"pass {value!r} on line {lineno} is not in the catalog")
-        patches.append(Patch(ptype, position, value))
+        patches.append(_trusted_patch(ptype, position, value))
     return Individual(tuple(patches))

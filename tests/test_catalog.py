@@ -12,6 +12,8 @@ from passevo.catalog import (
     builtin_catalog,
     load_catalog,
     load_sequence,
+    resolve_catalog,
+    resolve_sequence,
     search_space_order,
     serialize_catalog,
     serialize_sequence,
@@ -69,6 +71,17 @@ def test_load_sequence_unknown_pass():
     cat = load_catalog("a\nb\nc\n")
     with pytest.raises(ValidationError, match=r"^pass 'z' on line 1 is not in the catalog$"):
         load_sequence("z\n", cat)
+
+
+def test_files_reject_a_control_character_with_its_line_number(tmp_path):
+    # after load_sequence builds through _trusted_sequence, _tokens is its only token check
+    cat = load_catalog("-gvn\n-dce\n")
+    bad = r"^malformed line 2: pass name '-gvn\\x00' contains whitespace or control characters$"
+    for path, read in ((tmp_path / "catalog.txt", resolve_catalog),
+                       (tmp_path / "sequence.txt", lambda path: resolve_sequence(path, cat))):
+        path.write_text("-dce\n-gvn\x00\n", "utf-8")
+        with pytest.raises(ValidationError, match=bad):
+            read(str(path))
 
 
 def test_catalog_rejects_bad_tokens():
@@ -136,8 +149,10 @@ def test_search_space_order_monotone(size, length, dsize, dlength):
 
 
 def test_search_space_order_rejects_empty_alphabet():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^catalog_size must be >= 1$"):
         search_space_order(0, 5)
+    with pytest.raises(ValueError, match=r"^sequence_length must be >= 0$"):
+        search_space_order(10, -1)
 
 
 def test_builtin_snapshot_loads_and_round_trips():

@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from passevo.cli import main
-from passevo.config import ConfigError, load_config, parse_config_text, write_config
+from passevo.config import load_config, parse_config_text, write_config
+from passevo.errors import ValidationError
 from passevo.fitness import BackendConfig
 
 from conftest import write_test_inputs
@@ -38,7 +39,7 @@ def test_empty_config_is_all_defaults():
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_config_text(MINIMAL + "\n[extras]\nx = 1\n")
     assert "extras" in str(err.value)
 
@@ -51,7 +52,7 @@ def test_unknown_section_rejected():
 def test_default_section_with_keys_rejected(text):
     # configparser hides [DEFAULT] from sections() and copies its keys into
     # every section, so it would otherwise be ignored or misread silently
-    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+    with pytest.raises(ValidationError, match=r"unknown section \[DEFAULT\]"):
         parse_config_text(text)
 
 
@@ -86,39 +87,45 @@ def test_seed_flag_adds_a_missing_ga_section(tmp_path):
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_config_text(MINIMAL + "typo_rate = 0.5\n")
     assert "typo_rate" in str(err.value)
     # removed keys are unknown keys, not silently ignored
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_config_text(with_experiment_key("remeasure_baseline_per_trial = false"))
     assert "remeasure_baseline_per_trial" in str(err.value)
     # the [ga] and [backend] sections are not keys of [experiment]
     for key in ("ga", "backend"):
-        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section \\[experiment\\]"):
+        with pytest.raises(ValidationError, match=f"unknown key '{key}' in section \\[experiment\\]"):
             parse_config_text(with_experiment_key(f"{key} = x"))
 
 
 def test_bad_type_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         parse_config_text(MINIMAL.replace("population_size = 5", "population_size = many"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         parse_config_text(MINIMAL + "\n[experiment2]")
 
 
 def test_bad_range_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         parse_config_text(MINIMAL.replace("trials = 2", "trials = 0"))
     # every trial seed becomes a GAConfig.rng_seed, an unsigned 64-bit value;
     # the second trial of rng_seed = 2**64 - 1 would run with seed 2**64
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         parse_config_text(with_experiment_key("seeds = -1 2"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         parse_config_text(MINIMAL.replace("[ga]\n", f"[ga]\nrng_seed = {2**64 - 1}\n"))
     for key in ("run_timeout", "compile_timeout", "sim_base_runtime"):
         for value in ("nan", "inf"):
-            with pytest.raises(ConfigError, match=key):
+            with pytest.raises(ValidationError, match=key):
                 parse_config_text(MINIMAL + f"{key} = {value}\n")
+    with pytest.raises(ValidationError, match=r"^unknown backend kind 'bogus'$"):
+        parse_config_text(MINIMAL.replace("kind = simulated", "kind = bogus"))
+    with pytest.raises(ValidationError, match=r"^runs_per_eval must be >= 1$"):
+        parse_config_text(MINIMAL + "runs_per_eval = 0\n")
+    with pytest.raises(ValidationError, match=r"^sim_target_edits must be >= 0$"):
+        parse_config_text(MINIMAL + "sim_target_edits = -1\n")
 
 
 def test_non_finite_timeout_exits_two(tmp_path, capsys):
@@ -137,7 +144,7 @@ def test_seeds_parse_with_commas_or_spaces():
     assert cfg.seeds == (1, 2)
     cfg = parse_config_text(with_experiment_key("seeds = 3 4"))
     assert cfg.seeds == (3, 4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         parse_config_text(with_experiment_key("seeds = 1 two"))
 
 
@@ -158,13 +165,13 @@ def external_config_text(tmp_path) -> str:
 def test_program_args_split_shell_style(tmp_path):
     cfg = parse_config_text(external_config_text(tmp_path))
     assert cfg.backend.program_args == ("--size", "10", "two words")
-    with pytest.raises(ConfigError, match=r"^\[backend\] program_args: No closing quotation"):
+    with pytest.raises(ValidationError, match=r"^\[backend\] program_args: No closing quotation"):
         parse_config_text(external_config_text(tmp_path).replace('"two words"', '"unclosed'))
 
 
 def test_external_kind_requires_commands_and_source(tmp_path):
     text = "[backend]\nkind = external_compiler\n"
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_config_text(text)
     assert "source_path" in str(err.value)
 
@@ -176,7 +183,7 @@ def test_external_kind_requires_commands_and_source(tmp_path):
         "optimizer_command = b\n"
         "linker_command = c\n"
     )
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         parse_config_text(missing)
     assert "/nonexistent/prog.c" in str(err.value)
 
@@ -222,7 +229,7 @@ def test_write_config_round_trips(tmp_path):
 
 
 def test_load_config_missing_file():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError):
         load_config("/nonexistent/experiment.ini")
 
 

@@ -333,6 +333,28 @@ def test_evolve_rejects_a_fitness_batch_of_the_wrong_length(extra):
         evolve(cfg, baseline, catalog, lambda seqs: [1.0] * (len(seqs) + extra))
 
 
+@pytest.mark.parametrize("bad", [
+    [float("nan")],
+    [float("nan"), float("inf")],
+    [float("inf"), float("-inf")],
+])
+@pytest.mark.parametrize("at_generation", [0, 2])
+def test_evolve_rejects_a_fitness_batch_with_a_nan_mean(bad, at_generation):
+    # min, the tournament's < and the elites' order are all undefined on NaN
+    catalog, baseline, _ = hidden_target_setup()
+    cfg = GAConfig(population_size=6, generations=4, rng_seed=1)
+    batches = []
+
+    def fitness(seqs):
+        batches.append(seqs)
+        tail = bad if len(batches) - 1 == at_generation else [float("inf")] * len(bad)
+        return [1.0] * (len(seqs) - len(bad)) + tail
+
+    with pytest.raises(ValueError, match=r"returned NaN, or both \+inf and -inf, in one batch"):
+        evolve(cfg, baseline, catalog, fitness)
+    assert len(batches) == at_generation + 1
+
+
 def test_evolve_genomes_bounded_every_generation():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=12, generations=10, max_genome_len=6,

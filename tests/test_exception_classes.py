@@ -1,9 +1,11 @@
 """Every exception class of the package lives in errors.py.
 
-One class per exit code: a new failure is a ValidationError (exit 2) or an
-ExecutionError (exit 1) with its own message, not a new subclass. The one
-exception class outside errors.py is fitness.EvaluationFailure, which
-carries a status inside evaluate and never reaches the CLI.
+One class per exit code: every bad input, a file, config line, flag or
+argument, is a ValidationError (exit 2), and every run-time failure an
+ExecutionError (exit 1), each with its own message, never a subclass;
+PassEvoError is only their common base. The one exception class outside
+errors.py is fitness.EvaluationFailure, which carries a status inside
+evaluate and never reaches the CLI.
 """
 
 import ast
@@ -34,7 +36,6 @@ def test_exception_classes_live_in_errors_py():
     assert found == {
         ("errors.py", "PassEvoError"),
         ("errors.py", "ValidationError"),
-        ("errors.py", "ConfigError"),
         ("errors.py", "ExecutionError"),
         ("fitness.py", "EvaluationFailure"),
     }

@@ -5,7 +5,7 @@ import pytest
 
 import passevo.experiment as experiment_mod
 from passevo.catalog import PassSequence, serialize_catalog, serialize_sequence
-from passevo.errors import ConfigError, ExecutionError
+from passevo.errors import ExecutionError, ValidationError
 from passevo.evolution import GAConfig, GenerationRecord
 from passevo.experiment import (
     ExperimentConfig,
@@ -207,7 +207,7 @@ def test_builtin_paths_resolve():
 
 
 def test_missing_catalog_file_is_config_error():
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         resolve_catalog("/nonexistent/catalog.txt")
     assert "/nonexistent/catalog.txt" in str(err.value)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import passevo.fitness as fitness_mod
 from passevo.catalog import PassCatalog, PassSequence
 from passevo.cli import main
-from passevo.errors import ConfigError
+from passevo.errors import ValidationError
 from passevo.fitness import (
     PENALTY,
     EvaluationCache,
@@ -1031,7 +1031,7 @@ def test_cache_rejects_malformed_line_before_the_last(tmp_path):
     for bad, tail in cases:
         text = _cache_line("ab", 1.5) + bad + "\n" + tail
         path.write_text(text, "utf-8")
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: line 2 ")):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: line 2 ")):
             EvaluationCache(path)
         assert path.read_text("utf-8") == text
 

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from passevo.catalog import PassSequence, _trusted_sequence
-from passevo.errors import ValidationError
+import passevo.catalog as catalog_mod
+import passevo.patches as patches_mod
+from passevo.catalog import PassSequence, _trusted_sequence, resolve_sequence
+from passevo.errors import ValidationError, read_input
 from passevo.patches import (
     Individual,
     Patch,
@@ -342,6 +344,29 @@ def test_parse_individual_errors():
         parse_individual("delete zero\n", cat)
     with pytest.raises(ValidationError, match=r"^pass '-nope' on line 1 is not in the catalog$"):
         parse_individual("insert 0.5 -nope\n", cat)
+
+
+def test_readers_check_each_token_once(tmp_path, monkeypatch):
+    # load_sequence and parse_individual check each token with its line number,
+    # then build through the trusted constructors instead of checking it again
+    cat = make_catalog(3)
+    (tmp_path / "seq.txt").write_text("-p0\n-p1\n-p1\n-p2\n", "utf-8")
+    (tmp_path / "patch.txt").write_text("insert 0.5 -p1\ndelete 0.25\nreplace 1.0 -p2\n", "utf-8")
+    calls = {"passevo.catalog": 0, "passevo.patches": 0}
+    for module in (catalog_mod, patches_mod):
+        def counted(name, key=module.__name__, check=module.validate_token):
+            calls[key] += 1
+            return check(name)
+        monkeypatch.setattr(module, "validate_token", counted)
+
+    seq = resolve_sequence(str(tmp_path / "seq.txt"), cat)
+    ind = parse_individual(read_input(tmp_path / "patch.txt", "patch"), cat)
+    assert calls == {"passevo.catalog": 4, "passevo.patches": 0}
+    assert_trusted_is_public(seq, PassSequence(("-p0", "-p1", "-p1", "-p2")))
+    public = (Patch(PatchType.INSERTION, 0.5, "-p1"), Patch(PatchType.DELETION, 0.25),
+              Patch(PatchType.REPLACEMENT, 1.0, "-p2"))
+    for trusted, patch in zip(ind.patches, public, strict=True):
+        assert_trusted_is_public(trusted, patch)
 
 
 def test_parse_individual_comments_and_blanks():

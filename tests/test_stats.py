@@ -83,6 +83,23 @@ def test_student_t_sf_matches_integration_oracle(t, df):
     assert student_t_sf(t, df) == pytest.approx(t_sf_oracle(t, df), rel=1e-10, abs=1e-15)
 
 
+@pytest.mark.parametrize("a, b, x, message", [
+    (0.0, 1.0, 0.5, "a and b must be positive"),
+    (1.0, -1.0, 0.5, "a and b must be positive"),
+    (1.0, 1.0, -0.1, r"x must be in \[0, 1\]"),
+    (1.0, 1.0, 1.5, r"x must be in \[0, 1\]"),
+    (1.0, 1.0, math.nan, r"x must be in \[0, 1\]"),
+])
+def test_betainc_rejects_arguments_outside_its_domain(a, b, x, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        betainc_regularized(a, b, x)
+
+
+def test_student_t_sf_rejects_df_below_one():
+    with pytest.raises(ValueError, match=r"^df must be >= 1$"):
+        student_t_sf(1.0, 0)
+
+
 def test_student_t_sf_symmetry_and_midpoint():
     assert student_t_sf(0.0, 7) == pytest.approx(0.5, abs=1e-12)
     for t in (0.3, 1.7, 6.0):
