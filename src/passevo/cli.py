@@ -122,15 +122,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         return EXIT_RUNTIME
 
     print(f"completed trials: {len(completed)}/{len(results)}")
-    if summary is not None:
-        print(
-            f"mean improvement: {_fmt(summary.mean_improvement, '.4g')}%"
-            f" (sample stddev {_fmt(summary.sample_stddev, '.4g')}, n={summary.n})"
-        )
-        print(
-            f"one-tailed t test (H0: mean improvement = 0, H1: > 0): "
-            f"t = {_fmt(summary.t_statistic)}, p = {_fmt(summary.p_value_one_tailed, '.3g')}"
-        )
+    print(
+        f"mean improvement: {_fmt(summary.mean_improvement, '.4g')}%"
+        f" (sample stddev {_fmt(summary.sample_stddev, '.4g')}, n={summary.n})"
+    )
+    print(
+        f"one-tailed t test (H0: mean improvement = 0, H1: > 0): "
+        f"t = {_fmt(summary.t_statistic)}, p = {_fmt(summary.p_value_one_tailed, '.3g')}"
+    )
     print(f"artifacts written to {cfg.output_dir}")
     return EXIT_OK
 

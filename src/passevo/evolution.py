@@ -179,11 +179,10 @@ def mutate(ind: Individual, catalog: PassCatalog, cfg: GAConfig, rng: random.Ran
         return ind
     genes = [_edit_gene(g, catalog, rng) if rand() < rate else g for g in ind.patches]
     if rand() < rate:
-        can_append = len(genes) < cfg.max_genome_len
-        can_remove = len(genes) > 0
-        if can_append and (not can_remove or rand() < 0.5):
+        # GAConfig keeps max_genome_len >= 1, so an empty genome always appends
+        if len(genes) < cfg.max_genome_len and (not genes or rand() < 0.5):
             genes.append(random_patch(catalog, rng))
-        elif can_remove:
+        else:
             getrandbits, n, bits = rng.getrandbits, len(genes), len(genes).bit_length()
             i = getrandbits(bits)
             while i >= n:
@@ -240,9 +239,10 @@ def evolve(
                 child1, child2 = crossover(parent1, parent2, rng, cfg.max_genome_len)
             else:
                 child1, child2 = parent1, parent2
-            for child in (child1, child2):
-                if len(next_population) < cfg.population_size:
-                    next_population.append(mutate(child, catalog, cfg, rng))
+            # the loop's guard leaves room for the first child
+            next_population.append(mutate(child1, catalog, cfg, rng))
+            if len(next_population) < cfg.population_size:
+                next_population.append(mutate(child2, catalog, cfg, rng))
         population = next_population
 
     return history

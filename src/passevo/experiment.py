@@ -136,35 +136,35 @@ def run_trials(
     out_root = Path(cfg.output_dir)
     try:
         out_root.mkdir(parents=True, exist_ok=True)
+        # the cache is read first, so a resume it rejects leaves the old provenance
+        records_fn = build_records_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
         write_config(cfg, out_root / "effective_config.ini")
+        fitness_fn = lambda seqs: [record.fitness for record in records_fn(seqs)]
+
+        baseline_fitness = _score_baseline(records_fn, baseline).fitness
+
+        results: list[TrialResult] = []
+        for index in range(cfg.trials):
+            seed = cfg.trial_seed(index)
+            trial_progress = None if progress is None else partial(progress, index)
+            history = evolve(replace(cfg.ga, rng_seed=seed), baseline, catalog, fitness_fn, trial_progress)
+            best = min(history, key=lambda r: r.best_fitness)
+            if math.isfinite(best.best_fitness):
+                gain = percent_improvement(baseline_fitness, best.best_fitness)
+                result = TrialResult(
+                    index, seed, baseline_fitness, best.best_fitness, gain, best.best_individual, history
+                )
+                _write_trial(out_root / f"trial_{index}", result, baseline)
+            else:
+                error = "no candidate produced a finite fitness"
+                result = TrialResult(index, seed, baseline_fitness, math.nan, math.nan, Individual(), history, error)
+            results.append(result)
+
+        improvements = [r.percent_improvement for r in results if r.ok]
+        summary = summarize(improvements) if improvements else None
+        _write_summary(out_root / "summary.json", results, summary)
     except OSError as exc:
         raise ValidationError(f"cannot write output directory {cfg.output_dir}: {exc}") from exc
-
-    records_fn = build_records_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
-    fitness_fn = lambda seqs: [record.fitness for record in records_fn(seqs)]
-
-    baseline_fitness = _score_baseline(records_fn, baseline).fitness
-
-    results: list[TrialResult] = []
-    for index in range(cfg.trials):
-        seed = cfg.trial_seed(index)
-        trial_progress = None if progress is None else partial(progress, index)
-        history = evolve(replace(cfg.ga, rng_seed=seed), baseline, catalog, fitness_fn, trial_progress)
-        best = min(history, key=lambda r: r.best_fitness)
-        if math.isfinite(best.best_fitness):
-            gain = percent_improvement(baseline_fitness, best.best_fitness)
-            result = TrialResult(
-                index, seed, baseline_fitness, best.best_fitness, gain, best.best_individual, history
-            )
-            _write_trial(out_root / f"trial_{index}", result, baseline)
-        else:
-            error = "no candidate produced a finite fitness"
-            result = TrialResult(index, seed, baseline_fitness, math.nan, math.nan, Individual(), history, error)
-        results.append(result)
-
-    improvements = [r.percent_improvement for r in results if r.ok]
-    summary = summarize(improvements) if improvements else None
-    _write_summary(out_root / "summary.json", results, summary)
     return results, summary
 
 

@@ -170,7 +170,8 @@ class EvaluationCache:
     therefore agree on one canonical record. A record timed from an
     executable is also indexed by the executable's digest, first writer
     wins, so get_timed() can hand its timing to a candidate that builds the
-    same bytes. Records are immutable once stored.
+    same bytes. Records are immutable once stored. Every persisted row has
+    the same keys; its "exe" is null when nothing was built.
 
     In memory only, put_linked() keeps the executable each optimized IR
     linked to, one copy of the bytes per distinct executable, for
@@ -185,7 +186,7 @@ class EvaluationCache:
     def __init__(self, path: Path | str | None = None):
         self._records: dict[str, EvaluationRecord] = {}
         self._timed: dict[str, EvaluationRecord] = {}
-        self._exes: dict[str, bytes] = {}
+        self._exes: dict[bytes, bytes] = {}
         self._linked: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
@@ -249,10 +250,9 @@ class EvaluationCache:
             return self._linked.get(ir_digest)
 
     def put_linked(self, ir_digest: str, exe: bytes) -> None:
-        """Remember what an optimized IR linked to, interning the bytes by their digest."""
-        exe_digest = hashlib.sha256(exe).hexdigest()
+        """Remember what an optimized IR linked to; equal bytes are interned as one copy, unhashed."""
         with self._lock:
-            self._linked.setdefault(ir_digest, self._exes.setdefault(exe_digest, exe))
+            self._linked.setdefault(ir_digest, self._exes.setdefault(exe, exe))
 
     def put(self, record: EvaluationRecord, exe_digest: str | None = None) -> EvaluationRecord:
         """Store a record, and index it by `exe_digest` if it was timed from an executable."""
@@ -271,9 +271,8 @@ class EvaluationCache:
                     "mean": record.mean if math.isfinite(record.mean) else None,
                     "stddev": record.sample_stddev if math.isfinite(record.sample_stddev) else None,
                     "diagnostics": record.diagnostics[-DIAGNOSTICS_KEPT:],
+                    "exe": exe_digest,
                 }
-                if exe_digest is not None:
-                    row["exe"] = exe_digest
                 with self._path.open("a", encoding="utf-8") as fh:
                     fh.write(json.dumps(row, sort_keys=True) + "\n")
             return record

@@ -72,15 +72,46 @@ def test_evolve_output_dir_override(tmp_path):
     assert (other / "summary.json").is_file()
 
 
-@pytest.mark.parametrize("name", ["blocker", "blocker/sub"])
-def test_unusable_output_dir_exit_two(tmp_path, capsys, name):
-    config, _ = write_sim_config(tmp_path)
-    (tmp_path / "blocker").write_text("not a directory\n")
-    out_dir = tmp_path / name
-    argv = ["simulate", "--config", str(config), "--trials", "1", "--output-dir", str(out_dir)]
+@pytest.mark.parametrize(
+    "out_name, entry, kind",
+    [
+        pytest.param("blocker", None, "file", id="blocker"),
+        pytest.param("blocker/sub", None, "file", id="blocker/sub"),
+        pytest.param("out", "trial_0", "file", id="trial-is-a-file"),
+        pytest.param("out", "summary.json", "dir", id="summary-is-a-dir"),
+        # the cache is read and appended to by the external backend only
+        pytest.param("out", "eval_cache.jsonl", "dir", id="cache-is-a-dir"),
+        pytest.param("out", "eval_cache.jsonl", "dangling", id="cache-append-fails"),
+    ],
+)
+def test_unusable_output_dir_exit_two(tmp_path, capsys, out_name, entry, kind):
+    out_dir = tmp_path / out_name
+    if entry is None:
+        blocked = tmp_path / "blocker"
+    else:
+        out_dir.mkdir()
+        blocked = out_dir / entry
+    if kind == "file":
+        blocked.write_text("not a directory\n")
+    elif kind == "dir":
+        blocked.mkdir()
+    else:
+        blocked.symlink_to(tmp_path / "missing" / entry)
+    if entry == "eval_cache.jsonl":
+        catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
+        config = tmp_path / "ext.ini"
+        config.write_text(external_config_text(tmp_path, catalog_path, baseline_path, out_dir))
+        command = "evolve"
+    else:
+        config, _ = write_sim_config(tmp_path)
+        command = "simulate"
+    argv = [command, "--config", str(config), "--trials", "1", "--output-dir", str(out_dir)]
     assert main(argv) == 2
-    assert f"cannot write output directory {out_dir}: " in capsys.readouterr().err
-    assert (tmp_path / "blocker").read_text() == "not a directory\n"
+    err = capsys.readouterr().err
+    assert f"cannot write output directory {out_dir}: " in err
+    assert str(blocked) in err
+    if kind == "file":
+        assert blocked.read_text() == "not a directory\n"
 
 
 def test_evolve_verbose_generation_lines(tmp_path, capsys):

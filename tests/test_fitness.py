@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import types
 import warnings
 from dataclasses import replace
 
@@ -652,6 +653,33 @@ def test_executable_index_persists_and_reloads(tmp_path, program_runs):
     assert json.loads(path.read_text("utf-8").splitlines()[2])["exe"] == rows[0]["exe"]
 
 
+def test_failed_build_row_has_the_timed_row_keys(tmp_path):
+    path = tmp_path / "eval_cache.jsonl"
+    cache = EvaluationCache(path)
+    cfg = fake_backend(tmp_path, runs_per_eval=1)
+    assert evaluate(PassSequence(("-sroa",)), cfg, cache).status is EvaluationStatus.OK
+    assert evaluate(PassSequence(("-broken",)), cfg, cache).status is EvaluationStatus.COMPILE_ERROR
+    timed, failed = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    assert failed.keys() == timed.keys()
+    assert failed["exe"] is None and len(timed["exe"]) == 64
+
+
+def test_fresh_linked_evaluation_hashes_each_artifact_once(tmp_path, monkeypatch):
+    hashed = []
+    real = fitness_mod.hashlib
+
+    def sha256(data):
+        hashed.append(data)
+        return real.sha256(data)
+
+    monkeypatch.setattr(fitness_mod, "hashlib", types.SimpleNamespace(sha256=sha256))
+    record = evaluate(PassSequence(("-sroa",)), fake_backend(tmp_path, runs_per_eval=1), EvaluationCache())
+    assert record.status is EvaluationStatus.OK
+    # the sequence, the optimized IR and the executable, which put_linked interns unhashed
+    assert len(hashed) == 3
+    assert hashed[0] == b"-sroa" and hashed[2].startswith(b"#!")
+
+
 def test_different_executable_is_timed(tmp_path, program_runs):
     cfg = fake_backend(tmp_path, runs_per_eval=2)
     cache = EvaluationCache()
@@ -1057,10 +1085,14 @@ def test_corrupt_cache_row_exits_two(tmp_path, capsys):
     (out_dir / "eval_cache.jsonl").write_text(
         _cache_line("ab", 1.5).replace('"ok"', '"okay"') + _cache_line("cd", 2.5), "utf-8"
     )
+    # the rejected resume keeps the previous run's provenance
+    provenance = b"[experiment]\ntrials = 3\n"
+    (out_dir / "effective_config.ini").write_bytes(provenance)
     config = tmp_path / "ext.ini"
     config.write_text(external_config_text(tmp_path, catalog_path, baseline_path, out_dir))
     assert main(["evolve", "--config", str(config)]) == 2
     assert "eval_cache.jsonl: line 1 " in capsys.readouterr().err
+    assert (out_dir / "effective_config.ini").read_bytes() == provenance
 
 
 def test_cache_first_writer_wins():

@@ -1,6 +1,8 @@
 """The README's examples run against the package as it is."""
 
+import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from passevo import (
@@ -12,6 +14,7 @@ from passevo import (
     parse_individual,
     simulated_fitnesses,
 )
+from passevo.config import _SECTIONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +41,22 @@ def test_patch_file_example_parses():
         Patch(PatchType.DELETION, 1.0),
         Patch(PatchType.REPLACEMENT, 0.5, "-sroa"),
     )
+
+
+def test_config_schema_lists_every_key_and_its_default():
+    section = README.read_text("utf-8").split("## Config file schema", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    documented: dict[str, dict[str, str | None]] = {}
+    for line in block.splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            keys = documented.setdefault(header.group(1), {})
+        elif entry := re.match(r"(\w+) =[^;]*(?:;(.*))?$", line):
+            bracketed = re.search(r"\[([^\]]+)\]", entry.group(2) or "")
+            keys[entry.group(1)] = bracketed and bracketed.group(1)
+    assert documented.keys() == _SECTIONS.keys()
+    for name, cls in _SECTIONS.items():
+        defaults = {f.name: f.default for f in fields(cls) if f.name not in _SECTIONS}
+        assert set(documented[name]) == set(defaults), name
+        for key, bracketed in documented[name].items():
+            if bracketed is not None:
+                assert ast.literal_eval(bracketed) == defaults[key], (name, key)
