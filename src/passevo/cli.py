@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .catalog import resolve_catalog, resolve_sequence, serialize_sequence
@@ -29,16 +30,20 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+# evolve's and simulate's override flags: flag -> (type, config section, key)
+_OVERRIDE_FLAGS = {
+    "--trials": (int, "experiment", "trials"),
+    "--seed": (int, "ga", "rng_seed"),
+    "--output-dir": (str, "experiment", "output_dir"),
+}
+
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(run=cmd_evolve, kind=None)
     parser.add_argument("--config", required=True, help="experiment config file (INI)")
-    parser.add_argument("--trials", type=int, help="override [experiment] trials")
-    parser.add_argument("--seed", type=int, help="override [ga] rng_seed")
-    parser.add_argument("--output-dir", help="override [experiment] output_dir")
-    parser.add_argument(
-        "--verbose", action="store_true", help="log one line per generation"
-    )
+    for flag, (parse, section, key) in _OVERRIDE_FLAGS.items():
+        parser.add_argument(flag, type=parse, help=f"override [{section}] {key}")
+    parser.add_argument("--verbose", action="store_true", help="log one line per generation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,16 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[tuple[str, str], str]:
-    overrides: dict[tuple[str, str], str] = {}
-    if args.trials is not None:
-        overrides[("experiment", "trials")] = str(args.trials)
-    if args.seed is not None:
-        overrides[("ga", "rng_seed")] = str(args.seed)
-    if args.output_dir is not None:
-        overrides[("experiment", "output_dir")] = args.output_dir
-    if args.kind is not None:
-        overrides[("backend", "kind")] = args.kind
-    return overrides
+    values = {
+        (section, key): getattr(args, flag[2:].replace("-", "_"))  # --output-dir: output_dir
+        for flag, (_, section, key) in _OVERRIDE_FLAGS.items()
+    }
+    values[("backend", "kind")] = args.kind
+    return {name: str(value) for name, value in values.items() if value is not None}
 
 
 def _fmt(value: float | None, fmt: str = ".6g") -> str:
@@ -188,13 +189,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_RUNTIME
+    except (ValidationError, ExecutionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, ValidationError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

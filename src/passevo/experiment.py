@@ -163,6 +163,8 @@ def run_trials(
         improvements = [r.percent_improvement for r in results if r.ok]
         summary = summarize(improvements) if improvements else None
         _write_summary(out_root / "summary.json", results, summary)
+    except BrokenPipeError:
+        raise  # a closed stdout under --verbose, not the output directory
     except OSError as exc:
         raise ValidationError(f"cannot write output directory {cfg.output_dir}: {exc}") from exc
     return results, summary

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import passevo
 from passevo.cli import main
 from passevo.catalog import serialize_catalog, serialize_sequence
 
@@ -120,6 +125,28 @@ def test_evolve_verbose_generation_lines(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "trial 0 gen 0:" in out
     assert "trial 0 gen 2:" in out
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    # about 180 kB of generation lines, more than the pipe and both buffers
+    # hold, so the run is still printing when the reader goes away
+    config, _ = write_sim_config(tmp_path, trials=1, population_size=4, generations=4000)
+    src = str(Path(passevo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "passevo.cli", "evolve", "--config", str(config), "--verbose"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("trial 0 gen 0: ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1, err
+    for text in ("Traceback", "cannot write output directory", "Exception ignored"):
+        assert text not in err
 
 
 def test_history_csv_schema_and_rederived_monotonicity(tmp_path):

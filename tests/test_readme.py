@@ -1,5 +1,6 @@
 """The README's examples run against the package as it is."""
 
+import argparse
 import ast
 import re
 from dataclasses import fields
@@ -14,6 +15,7 @@ from passevo import (
     parse_individual,
     simulated_fitnesses,
 )
+from passevo.cli import _OVERRIDE_FLAGS, build_parser
 from passevo.config import _SECTIONS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -60,3 +62,21 @@ def test_config_schema_lists_every_key_and_its_default():
         for key, bracketed in documented[name].items():
             if bracketed is not None:
                 assert ast.literal_eval(bracketed) == defaults[key], (name, key)
+
+
+def test_cli_synopsis_names_only_real_flags():
+    section = README.read_text("utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    parser = build_parser()
+    subcommands = next(
+        action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    synopsis: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        command, rest = re.fullmatch(r"passevo (\w+)(.*)", line).groups()
+        synopsis[command] = set(re.findall(r"--[\w-]+", rest.split("#")[0]))
+    assert synopsis.keys() == subcommands.keys()
+    for command, flags in synopsis.items():
+        usage = subcommands[command].format_usage()
+        assert flags <= set(re.findall(r"--[\w-]+", usage)), command
+    assert set(_OVERRIDE_FLAGS) <= synopsis["evolve"]

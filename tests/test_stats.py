@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import astuple
 
@@ -81,6 +82,23 @@ def test_betainc_closed_form_uniform():
 @pytest.mark.parametrize("df", [1, 2, 3, 7, 8, 30, 31, 200])
 def test_student_t_sf_matches_integration_oracle(t, df):
     assert student_t_sf(t, df) == pytest.approx(t_sf_oracle(t, df), rel=1e-10, abs=1e-15)
+
+
+def test_t_tail_is_pinned_bit_for_bit():
+    # float.hex of every value, so a refactor of the continued fraction that
+    # moves any result by one ulp fails here, where the oracle test above
+    # allows 1e-10
+    digest = hashlib.sha256()
+    for df in (*range(1, 41), 100, 400):
+        for t in (0.0, 1e-9, -1e-9, 0.5, -0.5, 2.0, -2.0, 11.9357, -11.9357, 50.0, -50.0):
+            digest.update(f"{t!r} {df} {student_t_sf(t, df).hex()}\n".encode())
+    points = [(2.0, 3.0, 0.1), (0.5, 7.5, 0.05), (20.0, 0.5, 0.6),
+              (2.0, 3.0, 0.9), (0.5, 7.5, 0.5), (20.0, 0.5, 0.99)]
+    # betainc_regularized's direct branch for the first three, its reflected one after
+    assert [x < (a + 1.0) / (a + b + 2.0) for a, b, x in points] == [True] * 3 + [False] * 3
+    for a, b, x in points:
+        digest.update(f"{a!r} {b!r} {x!r} {betainc_regularized(a, b, x).hex()}\n".encode())
+    assert digest.hexdigest() == "12619114ad039aa338fb8a6f0fbedcbced0344c4a476475a53d802c7f02a7d54"
 
 
 @pytest.mark.parametrize("a, b, x, message", [
