@@ -14,7 +14,7 @@ one of the `builtin:` names of the shipped -O3 snapshot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ValidationError, input_lines, read_input
@@ -38,7 +38,6 @@ class PassCatalog:
     """Deduplicated, ordered vocabulary of pass names."""
 
     passes: tuple[str, ...]
-    _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.passes:
@@ -49,10 +48,9 @@ class PassCatalog:
             if name in seen:
                 raise ValidationError(f"duplicate pass {name!r}")
             seen.add(name)
-        object.__setattr__(self, "_members", frozenset(self.passes))
 
     def __contains__(self, name: str) -> bool:
-        return name in self._members
+        return name in self.passes
 
     def __len__(self) -> int:
         return len(self.passes)

@@ -39,11 +39,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.output_dir:
+            raise ValueError("output_dir must not be empty")
         if self.seeds is not None and len(self.seeds) != self.trials:
             raise ValueError(f"seeds list has {len(self.seeds)} entries for {self.trials} trials")
-        # default seeds count up from rng_seed, so checking the ends covers them all
-        ends = (self.trial_seed(0), self.trial_seed(self.trials - 1))
-        for seed in self.seeds if self.seeds is not None else ends:
+        # default seeds count up from rng_seed, which GAConfig bounds, so the last one decides
+        for seed in self.seeds if self.seeds is not None else (self.trial_seed(self.trials - 1),):
             if not 0 <= seed < 2**64:
                 raise ValueError(f"trial seed {seed} does not fit in 64 unsigned bits")
 

@@ -211,6 +211,9 @@ class EvaluationCache:
                 row = json.loads(line)
                 wrong = [key for key, types in self._ROW_TYPES.items() if key in row and type(row[key]) not in types]
                 wrong += [key for key in ("mean", "stddev") if row[key] is not None and not math.isfinite(row[key])]
+                # an ok mean is a mean of wall times
+                if row["status"] == _OK.value and (row["mean"] is None or row["mean"] < 0):
+                    wrong.append("mean")
                 if wrong:
                     raise ValueError(f"bad value for {', '.join(wrong)}")
                 record = EvaluationRecord(
@@ -292,7 +295,10 @@ def time_execution(argv: list[str], timeout: float) -> RunResult:
     The process leads a new session. A timeout or an interrupt (re-raised)
     kills its whole group, such as the tools under a `sh -c` template, before
     the leader is reaped, so no other process can hold that group id yet.
-    The output is stdout and stderr, decoded as UTF-8 with bad bytes replaced.
+    The timeout bounds the whole call: output not read by then is dropped, and
+    a descendant that left the group (one that daemonized) is left running,
+    not waited for. The output is stdout and stderr, decoded as UTF-8 with bad
+    bytes replaced.
     """
     start = time.perf_counter()
     try:
@@ -305,9 +311,12 @@ def time_execution(argv: list[str], timeout: float) -> RunResult:
     except BaseException as exc:
         if proc.returncode is None:
             os.killpg(proc.pid, signal.SIGKILL)
-        out, _ = proc.communicate()
+        # an escaped descendant may hold the pipe open, so keep what was read instead of draining it
+        proc.stdout.close()
+        proc.wait()
         if not isinstance(exc, subprocess.TimeoutExpired):
             raise
+        out = exc.output or b""
         timed_out = True
     returncode = None if timed_out else proc.returncode
     return RunResult(time.perf_counter() - start, returncode, timed_out, out.decode("utf-8", "replace"))
@@ -578,8 +587,6 @@ def perturb_sequence(
     distance verifiably equals n_edits. If no draw lands, n_edits seeded
     passes are appended, which is exactly n_edits inserts away.
     """
-    if n_edits == 0:
-        return baseline
     for _ in range(1000):
         passes = list(baseline.passes)
         for _ in range(n_edits):

@@ -77,6 +77,16 @@ def test_evolve_output_dir_override(tmp_path):
     assert (other / "summary.json").is_file()
 
 
+def test_empty_output_dir_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    config, _ = write_sim_config(tmp_path)
+    workdir = tmp_path / "cwd"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(["evolve", "--config", str(config), "--trials", "1", "--output-dir", ""]) == 2
+    assert "output_dir must not be empty" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "out_name, entry, kind",
     [

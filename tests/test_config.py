@@ -126,6 +126,8 @@ def test_bad_range_rejected():
         parse_config_text(MINIMAL + "runs_per_eval = 0\n")
     with pytest.raises(ValidationError, match=r"^sim_target_edits must be >= 0$"):
         parse_config_text(MINIMAL + "sim_target_edits = -1\n")
+    with pytest.raises(ValidationError, match=r"^output_dir must not be empty$"):
+        parse_config_text(with_experiment_key("output_dir ="))
 
 
 def test_non_finite_timeout_exits_two(tmp_path, capsys):

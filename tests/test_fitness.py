@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -522,6 +523,40 @@ def test_time_execution_interrupt_kills_the_process_group_and_propagates(tmp_pat
     # a surviving sleep holds the output pipe, so draining it would take 30 s
     assert time.perf_counter() - start < 5.0
     assert _has_exited(_recorded_pid(pidfile))
+
+
+# A parent that forks a child into its own session; the child records its pid
+# and sleeps holding the output pipe, and the parent prints once it has.
+_ESCAPING_PARENT = """
+import os, sys, time
+if os.fork() == 0:
+    os.setsid()
+    with open(sys.argv[1], "w") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(8)
+    os._exit(0)
+while not os.path.exists(sys.argv[1]):
+    time.sleep(0.01)
+print("parent waiting", flush=True)
+time.sleep(30)
+"""
+
+
+@needs_proc
+def test_time_execution_timeout_leaves_an_escaped_descendant_running(tmp_path):
+    pidfile = tmp_path / "pid"
+    start = time.perf_counter()
+    result = time_execution([sys.executable, "-c", _ESCAPING_PARENT, str(pidfile)], timeout=2.0)
+    elapsed = time.perf_counter() - start
+    escaped = _recorded_pid(pidfile)
+    try:
+        assert (result.timed_out, result.returncode) == (True, None)
+        assert "parent waiting" in result.output
+        # the escaped child keeps the pipe open for 8 s; draining it would wait that long
+        assert elapsed < 2.0 + 2.0
+        assert not _has_exited(escaped, within=0.0)
+    finally:
+        os.kill(escaped, signal.SIGKILL)
 
 
 # --- external pipeline through the fake toolchain ----------------------------
@@ -1051,6 +1086,9 @@ def test_cache_rejects_malformed_line_before_the_last(tmp_path):
         json.dumps(row).replace('"mean": 2.0', '"mean": 1e400'),
         json.dumps({**row, "runs": 1.7}),
         json.dumps({**row, "diagnostics": 7}),
+        # an ok mean is a mean of wall times; failure rows may carry a null one
+        json.dumps({**row, "mean": None}),
+        json.dumps({**row, "mean": -1.0}),
     ]
     # a whole line that is not a record is no torn tail, even when it is the last,
     # and a torn tail after it is not cut either
