@@ -16,6 +16,7 @@ configuration back out in the same format for provenance.
 from __future__ import annotations
 
 import configparser
+import os
 import shlex
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -113,6 +114,11 @@ def parse_config_text(text: str, overrides: dict[tuple[str, str], str] | None = 
 
     if cfg.backend.kind == KIND_EXTERNAL:
         require_file(cfg.backend.source_path, "source")
+        # time_execution waits on a pidfd; an old kernel or a seccomp filter refuses the call itself
+        try:
+            os.close(os.pidfd_open(os.getpid()))
+        except (AttributeError, OSError) as exc:
+            raise ValidationError(f"kind = {KIND_EXTERNAL} needs os.pidfd_open, Linux 5.3 or later: {exc}") from exc
     return cfg
 
 

@@ -64,6 +64,7 @@ import json
 import math
 import os
 import random
+import select
 import shlex
 import signal
 import statistics
@@ -290,36 +291,40 @@ class RunResult:
 
 
 def time_execution(argv: list[str], timeout: float) -> RunResult:
-    """Wall-clock one process from spawn to exit; at `timeout`, kill its process group.
+    """Wall-clock one process from spawn to its leader's exit; at `timeout`, kill its process group.
 
-    The process leads a new session. A timeout or an interrupt (re-raised)
-    kills its whole group, such as the tools under a `sh -c` template, before
-    the leader is reaped, so no other process can hold that group id yet.
-    The timeout bounds the whole call: output not read by then is dropped, and
-    a descendant that left the group (one that daemonized) is left running,
-    not waited for. The output is stdout and stderr, decoded as UTF-8 with bad
-    bytes replaced.
+    The run is scored by the leader's exit alone, waited for on a pidfd
+    (Linux 5.3 or later). The process leads a new session with stdin on
+    /dev/null. A timeout or an interrupt (re-raised) kills its whole group,
+    such as the tools under a `sh -c` template, before the leader is reaped,
+    so no other process can hold that group id yet. A process the leader
+    leaves behind is not waited for, and one that left the group (a daemon)
+    is not killed either. The clock stops at the reap. The output is stdout
+    and stderr, written to an unlinked temporary file and read after the
+    reap, decoded as UTF-8 with bad bytes replaced.
     """
-    start = time.perf_counter()
-    try:
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, start_new_session=True)
-    except OSError as exc:
-        return RunResult(time.perf_counter() - start, None, False, f"spawn failed: {exc}")
-    try:
-        out, _ = proc.communicate(timeout=timeout)
-        timed_out = False
-    except BaseException as exc:
-        if proc.returncode is None:
-            os.killpg(proc.pid, signal.SIGKILL)
-        # an escaped descendant may hold the pipe open, so keep what was read instead of draining it
-        proc.stdout.close()
-        proc.wait()
-        if not isinstance(exc, subprocess.TimeoutExpired):
-            raise
-        out = exc.output or b""
-        timed_out = True
-    returncode = None if timed_out else proc.returncode
-    return RunResult(time.perf_counter() - start, returncode, timed_out, out.decode("utf-8", "replace"))
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        try:
+            proc = subprocess.Popen(
+                argv, stdin=subprocess.DEVNULL, stdout=out, stderr=subprocess.STDOUT, start_new_session=True
+            )
+        except OSError as exc:
+            return RunResult(time.perf_counter() - start, None, False, f"spawn failed: {exc}")
+        try:
+            pidfd = os.pidfd_open(proc.pid)
+            try:
+                timed_out = not select.select([pidfd], [], [], timeout)[0]
+            finally:
+                os.close(pidfd)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        seconds = time.perf_counter() - start
+        out.seek(0)
+        output = out.read().decode("utf-8", "replace")
+    return RunResult(seconds, None if timed_out else proc.returncode, timed_out, output)
 
 
 def expand_command(template: str, substitutions: dict[str, str], passes: tuple[str, ...]) -> list[str]:

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,21 @@ def test_external_kind_requires_commands_and_source(tmp_path):
     for key in commands:
         with pytest.raises(ValueError, match=f"^{key} is required"):
             BackendConfig(kind="external_compiler", **dict(commands, **{key: ""}))
+
+
+def _no_pidfd_open(*_):
+    raise OSError(38, "Function not implemented")
+
+
+@pytest.mark.parametrize("platform", ["no os.pidfd_open", "a kernel without the call"])
+def test_external_kind_requires_pidfd_open(tmp_path, monkeypatch, platform):
+    if platform == "no os.pidfd_open":
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+    else:
+        monkeypatch.setattr(os, "pidfd_open", _no_pidfd_open, raising=False)
+    with pytest.raises(ValidationError, match="needs os.pidfd_open, Linux 5.3 or later"):
+        parse_config_text(external_config_text(tmp_path))
+    assert parse_config_text(MINIMAL).backend.kind == "simulated"
 
 
 def test_overrides_beat_file_values():

@@ -7,7 +7,6 @@ import random
 import re
 import shlex
 import signal
-import subprocess
 import sys
 import time
 import types
@@ -509,24 +508,21 @@ def test_time_execution_timeout_kills_the_process_group(tmp_path):
 def test_time_execution_interrupt_kills_the_process_group_and_propagates(tmp_path, monkeypatch):
     pidfile = tmp_path / "pid"
 
-    class InterruptedPopen(subprocess.Popen):
-        def communicate(self, input=None, timeout=None):
-            if timeout is not None:  # Ctrl-C during the timed wait, once the child runs
-                _recorded_pid(pidfile)
-                raise KeyboardInterrupt
-            return super().communicate(input, timeout)
+    def interrupted_select(rlist, wlist, xlist, timeout=None):
+        _recorded_pid(pidfile)  # Ctrl-C during the timed wait, once the child runs
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(fitness_mod.subprocess, "Popen", InterruptedPopen)
+    monkeypatch.setattr(fitness_mod.select, "select", interrupted_select)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         time_execution(_background_sleeper(pidfile), timeout=30.0)
-    # a surviving sleep holds the output pipe, so draining it would take 30 s
+    # the shell waits for its sleep, so a reap without the kill would take 30 s
     assert time.perf_counter() - start < 5.0
     assert _has_exited(_recorded_pid(pidfile))
 
 
 # A parent that forks a child into its own session; the child records its pid
-# and sleeps holding the output pipe, and the parent prints once it has.
+# and sleeps holding the output file, and the parent prints once it has.
 _ESCAPING_PARENT = """
 import os, sys, time
 if os.fork() == 0:
@@ -552,11 +548,55 @@ def test_time_execution_timeout_leaves_an_escaped_descendant_running(tmp_path):
     try:
         assert (result.timed_out, result.returncode) == (True, None)
         assert "parent waiting" in result.output
-        # the escaped child keeps the pipe open for 8 s; draining it would wait that long
+        # the escaped child holds the output for 8 s; waiting for it would take that long
         assert elapsed < 2.0 + 2.0
         assert not _has_exited(escaped, within=0.0)
     finally:
         os.kill(escaped, signal.SIGKILL)
+
+
+# A leader that prints, forks a child into its own session that records its
+# pid and sleeps holding the output file, and exits 0 at once.
+_DAEMONIZING_LEADER = """
+import os, sys, time
+print("done", flush=True)
+if os.fork() == 0:
+    os.setsid()
+    with open(sys.argv[1], "w") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(8)
+os._exit(0)
+"""
+
+
+@needs_proc
+def test_time_execution_scores_a_daemonizing_leader_by_its_exit(tmp_path):
+    pidfile = tmp_path / "pid"
+    start = time.perf_counter()
+    result = time_execution([sys.executable, "-c", _DAEMONIZING_LEADER, str(pidfile)], timeout=4.0)
+    elapsed = time.perf_counter() - start
+    daemon = _recorded_pid(pidfile)
+    try:
+        assert (result.timed_out, result.returncode, result.output) == (False, 0, "done\n")
+        assert elapsed < 2.0
+        assert not _has_exited(daemon, within=0.0)
+    finally:
+        os.kill(daemon, signal.SIGKILL)
+
+
+def test_time_execution_gives_the_process_no_stdin():
+    """`cat` (or `opt` missing its input file) would wait on an inherited stdin that stays open."""
+    read_end, write_end = os.pipe()
+    saved_stdin = os.dup(0)
+    os.dup2(read_end, 0)
+    try:
+        result = time_execution(["cat"], timeout=2.0)
+    finally:
+        os.dup2(saved_stdin, 0)
+        for fd in (saved_stdin, read_end, write_end):
+            os.close(fd)
+    assert (result.timed_out, result.returncode, result.output) == (False, 0, "")
+    assert result.seconds < 1.0
 
 
 # --- external pipeline through the fake toolchain ----------------------------
