@@ -89,6 +89,9 @@ KIND_SIMULATED = "simulated"
 # Failure diagnostics kept per persisted cache row: the tail, where the error is.
 DIAGNOSTICS_KEPT = 2000
 
+# Longest run_timeout or compile_timeout, in seconds (about 31 years); select overflows near 9.2e9.
+MAX_TIMEOUT = 1e9
+
 
 class EvaluationStatus(enum.Enum):
     OK = "ok"
@@ -133,6 +136,9 @@ class BackendConfig:
         for key in ("run_timeout", "compile_timeout", "sim_base_runtime"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ValueError(f"{key} must be finite and > 0")
+        for key in ("run_timeout", "compile_timeout"):
+            if getattr(self, key) > MAX_TIMEOUT:
+                raise ValueError(f"{key} must be <= {MAX_TIMEOUT:,.0f} seconds")
         if self.sim_target_edits < 0:
             raise ValueError("sim_target_edits must be >= 0")
 
@@ -291,17 +297,17 @@ class RunResult:
 
 
 def time_execution(argv: list[str], timeout: float) -> RunResult:
-    """Wall-clock one process from spawn to its leader's exit; at `timeout`, kill its process group.
+    """Wall-clock one process from spawn to its leader's exit or `timeout`, then kill its process group.
 
     The run is scored by the leader's exit alone, waited for on a pidfd
     (Linux 5.3 or later). The process leads a new session with stdin on
-    /dev/null. A timeout or an interrupt (re-raised) kills its whole group,
-    such as the tools under a `sh -c` template, before the leader is reaped,
-    so no other process can hold that group id yet. A process the leader
-    leaves behind is not waited for, and one that left the group (a daemon)
-    is not killed either. The clock stops at the reap. The output is stdout
-    and stderr, written to an unlinked temporary file and read after the
-    reap, decoded as UTF-8 with bad bytes replaced.
+    /dev/null. On an exit, a timeout or an interrupt (re-raised) alike, its
+    whole group (the tools under a `sh -c` template, a process the leader
+    left behind) is killed before the leader is reaped, while the leader's
+    zombie still holds the group id. A process that left the group (a
+    daemon) is neither waited for nor killed. The clock stops at the reap.
+    The output, stdout and stderr, goes to an unlinked temporary file read
+    after the reap, decoded as UTF-8 with bad bytes replaced.
     """
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
@@ -318,8 +324,7 @@ def time_execution(argv: list[str], timeout: float) -> RunResult:
             finally:
                 os.close(pidfd)
         finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         seconds = time.perf_counter() - start
         out.seek(0)

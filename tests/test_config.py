@@ -121,6 +121,10 @@ def test_bad_range_rejected():
         for value in ("nan", "inf"):
             with pytest.raises(ValidationError, match=key):
                 parse_config_text(MINIMAL + f"{key} = {value}\n")
+    # the wait for a process takes a timeout only up to about 9.2e9 seconds
+    for key in ("run_timeout", "compile_timeout"):
+        with pytest.raises(ValidationError, match=key):
+            parse_config_text(MINIMAL + f"{key} = 1e10\n")
     with pytest.raises(ValidationError, match=r"^unknown backend kind 'bogus'$"):
         parse_config_text(MINIMAL.replace("kind = simulated", "kind = bogus"))
     with pytest.raises(ValidationError, match=r"^runs_per_eval must be >= 1$"):

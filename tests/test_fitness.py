@@ -457,6 +457,11 @@ def test_time_execution_reports_failure_with_output():
     assert "boom" in result.output
 
 
+def test_time_execution_accepts_the_longest_timeout():
+    result = time_execution(["true"], timeout=fitness_mod.MAX_TIMEOUT)
+    assert (result.timed_out, result.returncode) == (False, 0)
+
+
 def test_time_execution_spawn_failure():
     result = time_execution(["/nonexistent/tool-xyz"], timeout=1.0)
     assert result.returncode is None
@@ -500,6 +505,16 @@ def test_time_execution_timeout_kills_the_process_group(tmp_path):
     start = time.perf_counter()
     result = time_execution(_background_sleeper(pidfile), timeout=0.5)
     assert (result.timed_out, result.returncode) == (True, None)
+    assert time.perf_counter() - start < 2.0
+    assert _has_exited(_recorded_pid(pidfile))
+
+
+@needs_proc
+def test_time_execution_kills_what_a_clean_exit_leaves_in_the_group(tmp_path):
+    pidfile = tmp_path / "pid"
+    start = time.perf_counter()
+    result = time_execution(["sh", "-c", f"sleep 30 & echo $! > {shlex.quote(str(pidfile))}"], timeout=5.0)
+    assert (result.timed_out, result.returncode) == (False, 0)
     assert time.perf_counter() - start < 2.0
     assert _has_exited(_recorded_pid(pidfile))
 

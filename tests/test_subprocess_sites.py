@@ -1,9 +1,11 @@
 """Every process the package starts goes through fitness.time_execution.
 
 time_execution starts each process in a new session and kills its whole
-process group on a timeout or an interrupt, so no build stage or timed run
-leaves a process behind. Any other use of subprocess, os.system, os.popen,
-os.exec*, os.spawn* or os.posix_spawn* would start one outside that rule.
+process group before every reap, after an exit, a timeout or an interrupt
+alike, so no build stage or timed run leaves a process behind, except one
+that left the group (a daemon). Any other use of subprocess, os.system,
+os.popen, os.exec*, os.spawn* or os.posix_spawn* would start one outside
+that rule.
 """
 
 import ast
