@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import random
+import shutil
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -128,7 +129,8 @@ def run_trials(
     record of its lowest fitness. A trial whose best is not finite is
     recorded as failed, writes no trial directory and is skipped by the
     summary; the summary covers however many trials completed (None if none
-    did; see summarize for too few or too flat improvements).
+    did; see summarize for too few or too flat improvements). Every other
+    trial_<digits> directory, left by an earlier run, is removed at the end.
     """
     catalog = resolve_catalog(cfg.catalog_path)
     baseline = resolve_sequence(cfg.baseline_path, catalog)
@@ -160,6 +162,10 @@ def run_trials(
                 result = TrialResult(index, seed, baseline_fitness, math.nan, math.nan, Individual(), history, error)
             results.append(result)
 
+        written = {f"trial_{r.trial_index}" for r in results if r.ok}
+        for stale in out_root.glob("trial_*"):
+            if stale.name not in written and stale.name[len("trial_"):].isdigit() and stale.is_dir():
+                shutil.rmtree(stale)
         improvements = [r.percent_improvement for r in results if r.ok]
         summary = summarize(improvements) if improvements else None
         _write_summary(out_root / "summary.json", results, summary)

@@ -25,8 +25,6 @@ no-op at its position, or one a later pass undoes, changes nothing.
 
 The IR key ignores a leading "; ModuleID = '...'" line, because `opt -S`
 writes the path of its input there and every build has its own directory.
-A linker command that takes {passes} or {passes_csv} depends on more than
-the IR, so it always runs.
 
 Every failure of a build stage or a timed run passes through one
 EvaluationFailure, which evaluate turns into the penalty record. A tool or
@@ -64,6 +62,7 @@ import json
 import math
 import os
 import random
+import re
 import select
 import shlex
 import signal
@@ -92,6 +91,13 @@ DIAGNOSTICS_KEPT = 2000
 # Longest run_timeout or compile_timeout, in seconds (about 31 years); select overflows near 9.2e9.
 MAX_TIMEOUT = 1e9
 
+# The placeholders each stage's template may take. Only the optimizer sees the candidate,
+# so the front end writes the same IR for every one and the optimized IR decides the executable.
+_STAGE_PLACEHOLDERS = {"compiler_front_command": ("source", "ir"),
+                       "optimizer_command": ("ir", "output", "passes", "passes_csv"),
+                       "linker_command": ("ir", "output")}
+_PLACEHOLDER = re.compile(r"\{(source|ir|output|passes|passes_csv)\}")
+
 
 class EvaluationStatus(enum.Enum):
     OK = "ok"
@@ -102,8 +108,8 @@ class EvaluationStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Everything an evaluation needs; command templates split shell-style and
-    use the placeholders {source}, {ir}, {passes}, {passes_csv} and {output}.
+    """Everything an evaluation needs; command templates split shell-style and take
+    the placeholders in _STAGE_PLACEHOLDERS, {passes} only as a whole argument.
     The external_compiler kind needs source_path and all three templates."""
 
     kind: str = KIND_SIMULATED
@@ -126,11 +132,17 @@ class BackendConfig:
         for key in ("source_path", "compiler_front_command", "optimizer_command", "linker_command"):
             if self.kind == KIND_EXTERNAL and not getattr(self, key):
                 raise ValueError(f"{key} is required when kind = {KIND_EXTERNAL}")
-        for key in ("compiler_front_command", "optimizer_command", "linker_command"):
+        for key, allowed in _STAGE_PLACEHOLDERS.items():
             try:
-                shlex.split(getattr(self, key))
+                tokens = shlex.split(getattr(self, key))
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
+            for token in tokens:
+                for name in _PLACEHOLDER.findall(token):
+                    if name not in allowed:
+                        raise ValueError(f"{key} cannot take {{{name}}}; it takes {{{'}, {'.join(allowed)}}}")
+                    if name == "passes" and token != "{passes}":
+                        raise ValueError(f"{key}: {{passes}} must be a whole argument; use {{passes_csv}} in one")
         if self.runs_per_eval < 1:
             raise ValueError("runs_per_eval must be >= 1")
         for key in ("run_timeout", "compile_timeout", "sim_base_runtime"):
@@ -337,18 +349,18 @@ def expand_command(template: str, substitutions: dict[str, str], passes: tuple[s
 
     A bare {passes} token expands to one argv entry per pass, in order;
     {passes_csv} expands in place to the comma-joined names with leading
-    dashes stripped (the new-pass-manager style).
+    dashes stripped (the new-pass-manager style). Each token is filled in one
+    pass: a filled-in value is never read again, and a name that is not given
+    (a shell ${VAR}) stays as written.
     """
+    fills = {**substitutions, "passes_csv": ",".join(name.lstrip("-") for name in passes)}
+    fill = lambda match: fills.get(match[1], match[0])
     argv: list[str] = []
-    csv = ",".join(name.lstrip("-") for name in passes)
     for token in shlex.split(template):
         if token == "{passes}":
             argv.extend(passes)
-            continue
-        token = token.replace("{passes_csv}", csv)
-        for key, val in substitutions.items():
-            token = token.replace("{" + key + "}", val)
-        argv.append(token)
+        else:
+            argv.append(_PLACEHOLDER.sub(fill, token))
     return argv
 
 
@@ -398,8 +410,7 @@ def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cac
     run("front-end", cfg.compiler_front_command, {"source": cfg.source_path, "ir": str(ir)})
     run("optimizer", cfg.optimizer_command, {"ir": str(ir), "output": str(optimized)})
     key = None
-    # a linker that takes {passes} or {passes_csv} depends on more than the IR
-    if "{passes" not in cfg.linker_command and optimized.is_file():
+    if optimized.is_file():
         key = ir_digest(optimized.read_bytes())
         linked = cache.get_linked(key)
         if linked is not None:

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from passevo.catalog import PassCatalog, PassSequence, serialize_catalog, serialize_sequence
+from passevo.cli import main
 from passevo.fitness import BackendConfig
 
 FAKE_TOOL = Path(__file__).parent / "fake_toolchain.py"
@@ -133,3 +135,14 @@ def external_config_text(
         f"runs_per_eval = {runs_per_eval}\n"
         f"run_timeout = {run_timeout}\n"
     )
+
+
+def evolve_with_template(tmp_path, capsys, key, edit):
+    """`passevo evolve` on the fake toolchain with `key`'s template passed through `edit`:
+    the exit code, stderr, and whether the output directory was made."""
+    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
+    out_dir = tmp_path / "out"
+    text = external_config_text(tmp_path, catalog_path, baseline_path, out_dir)
+    config = tmp_path / "ext.ini"
+    config.write_text(re.sub(f"(?m)^{key} = (.*)$", lambda line: f"{key} = {edit(line[1])}", text))
+    return main(["evolve", "--config", str(config)]), capsys.readouterr().err, out_dir.exists()

@@ -5,7 +5,7 @@ linker:
 
     fake_toolchain.py front <source> <ir>
     fake_toolchain.py opt <ir> <output> [pass...]
-    fake_toolchain.py link <ir> <output> [arg...]
+    fake_toolchain.py link <ir> <output>
 
 The "source" is a directive file whose first line is one of: ok, sleep <s>,
 spin, exit1. The optimizer refuses the pass token '-broken' (nonzero exit)
@@ -13,9 +13,8 @@ and records the received pass list in the IR, leaving out every '-noop'
 token, so sequences that differ only in '-noop' link to byte-identical
 programs; the linker emits a runnable
 Python script that performs the directive and prints the pass list, so tests
-can verify the sequence flowed through the whole pipeline. Extra linker
-arguments are printed by the program too, so a link that takes the pass
-list depends on more than the IR.
+can verify the sequence flowed through the whole pipeline. The linker reads
+nothing but the optimized IR, as every link stage must.
 """
 
 import os
@@ -47,7 +46,7 @@ def main() -> int:
         return 0
 
     if stage == "link":
-        ir, output, extra = sys.argv[2], sys.argv[3], sys.argv[4:]
+        ir, output = sys.argv[2], sys.argv[3]
         with open(ir) as fh:
             lines = fh.read().splitlines()
         directive = lines[0].strip() if lines else "ok"
@@ -61,7 +60,6 @@ def main() -> int:
                 "import sys, time",
                 f"directive = {directive!r}.split()",
                 f"print('passes:', {passes!r})",
-                *([f"print('link args:', {' '.join(extra)!r})"] if extra else []),
                 "if directive[0] == 'sleep':",
                 "    time.sleep(float(directive[1]))",
                 "elif directive[0] == 'spin':",

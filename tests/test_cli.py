@@ -11,6 +11,7 @@ from passevo.cli import main
 from passevo.catalog import serialize_catalog, serialize_sequence
 
 from conftest import (
+    evolve_with_template,
     external_config_text,
     make_catalog,
     make_sequence,
@@ -319,6 +320,29 @@ def test_unbalanced_quote_in_a_template_exits_two_before_any_output(tmp_path, ca
     assert main([command, "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {key}: No closing quotation\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["optimizer_command", "linker_command"])
+def test_source_outside_the_front_end_exits_two(tmp_path, capsys, key):
+    code, err, wrote = evolve_with_template(tmp_path, capsys, key, lambda template: f"{template} {{source}}")
+    assert (code, wrote) == (2, False)
+    assert err.startswith(f"error: {key} cannot take {{source}}; it takes {{ir}}, {{output}}")
+
+
+def test_output_in_the_front_end_exits_two(tmp_path, capsys):
+    key = "compiler_front_command"
+    code, err, wrote = evolve_with_template(tmp_path, capsys, key, lambda template: f"{template} -o {{output}}")
+    assert (code, wrote) == (2, False)
+    assert err == f"error: {key} cannot take {{output}}; it takes {{source}}, {{ir}}\n"
+
+
+@pytest.mark.parametrize("argument", ["-passes={passes}", "'{passes} -gvn'", "{passes}{passes}"])
+def test_passes_inside_an_argument_exits_two(tmp_path, capsys, argument):
+    key = "optimizer_command"
+    code, err, wrote = evolve_with_template(
+        tmp_path, capsys, key, lambda template: template.replace("{passes}", argument))
+    assert (code, wrote) == (2, False)
+    assert err == f"error: {key}: {{passes}} must be a whole argument; use {{passes_csv}} in one\n"
 
 
 def test_all_trials_failed_exit_one(tmp_path, capsys):

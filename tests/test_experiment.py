@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -173,6 +174,32 @@ def test_failed_trial_recorded_and_summary_adjusted(tmp_path, monkeypatch):
         "status": "failed",
         "trial_index": 1,
     }
+    assert not (tmp_path / "out" / "trial_1").exists()
+
+
+def test_fewer_trials_remove_the_earlier_runs_trial_directories(tmp_path):
+    cfg = sim_experiment(tmp_path, trials=3, seeds=(1, 2, 3))
+    run_trials(cfg)
+    out = tmp_path / "out"
+    (out / "trial_notes").mkdir()
+    (out / "trial_9").write_text("not a directory")
+    run_trials(replace(cfg, trials=1, seeds=(1,)))
+    assert sorted(path.name for path in out.glob("trial_*")) == ["trial_0", "trial_9", "trial_notes"]
+    assert len(json.loads((out / "summary.json").read_text())["trials"]) == 1
+
+
+def test_failed_trial_removes_the_earlier_runs_directory(tmp_path, monkeypatch):
+    cfg = sim_experiment(tmp_path, trials=2, seeds=(1, 2))
+    run_trials(cfg)
+    assert (tmp_path / "out" / "trial_1").is_dir()
+    hopeless = [GenerationRecord(0, PENALTY, PENALTY, Individual())]
+    real_evolve = experiment_mod.evolve
+    fails = iter((False, True))
+    monkeypatch.setattr(
+        experiment_mod, "evolve", lambda *args: hopeless if next(fails) else real_evolve(*args))
+    results, _ = run_trials(cfg)
+    assert [r.ok for r in results] == [True, False]
+    assert (tmp_path / "out" / "trial_0").is_dir()
     assert not (tmp_path / "out" / "trial_1").exists()
 
 

@@ -41,8 +41,8 @@ from passevo.fitness import (
 )
 
 from conftest import (
-    FAKE_TOOL,
     assert_trusted_is_public,
+    evolve_with_template,
     external_config_text,
     fake_backend,
     make_catalog,
@@ -431,6 +431,21 @@ def test_expand_command_csv_inside_token():
 def test_expand_command_empty_sequence():
     assert expand_command("opt {passes} x", {}, ()) == ["opt", "x"]
     assert expand_command("opt -passes={passes_csv} x", {}, ()) == ["opt", "-passes=", "x"]
+
+
+@pytest.mark.parametrize("template, subs, passes, argv", [
+    # a substituted value that contains a placeholder
+    ("cp {source} {ir}", {"source": "/data/{ir}/prog.ll", "ir": "b/program.ir"}, (),
+     ["cp", "/data/{ir}/prog.ll", "b/program.ir"]),
+    # a pass that contains one, under {passes_csv}
+    ("opt -passes={passes_csv} -o {output}", {"output": "out.ll"}, ("-foo={output}", "-gvn"),
+     ["opt", "-passes=foo={output},gvn", "-o", "out.ll"]),
+    # a shell variable
+    ("""sh -c 'cat "${VAR}/$0" > "$1"' {ir} {output}""", {"ir": "in.ll", "output": "out"}, (),
+     ["sh", "-c", 'cat "${VAR}/$0" > "$1"', "in.ll", "out"]),
+])
+def test_expand_command_fills_each_placeholder_once(template, subs, passes, argv):
+    assert expand_command(template, subs, passes) == argv
 
 
 # --- time_execution ----------------------------------------------------------
@@ -941,16 +956,16 @@ def test_identical_ir_is_linked_once(tmp_path, tool_calls):
 
 
 @pytest.mark.parametrize("placeholder", ["{passes}", "--with={passes_csv}"])
-def test_linker_taking_passes_always_links(tmp_path, tool_calls, placeholder):
-    cfg = fake_backend(
-        tmp_path, linker_command=f"{sys.executable} {FAKE_TOOL} link {{ir}} {{output}} {placeholder}")
-    cache = EvaluationCache()
-    for passes in (("-sroa",), ("-sroa", "-noop")):
-        assert evaluate(PassSequence(passes), cfg, cache).status is EvaluationStatus.OK
-    stages = _fake_stages(tool_calls)
-    assert stages.count("link") == 2
-    # the link took the -noop too, so the twin is another program and is timed
-    assert stages.count("run") == 2 * cfg.runs_per_eval
+@pytest.mark.parametrize("key", ["compiler_front_command", "linker_command"])
+def test_only_the_optimizer_takes_the_candidate(tmp_path, capsys, key, placeholder):
+    """A front end or linker that took the pass list would make the optimized IR
+    not decide the executable; it is refused at load, before anything is written."""
+    name = placeholder[placeholder.index("{"):]
+    with pytest.raises(ValueError, match=f"^{key} cannot take {re.escape(name)};"):
+        fake_backend(tmp_path, **{key: f"{getattr(fake_backend(tmp_path), key)} {placeholder}"})
+    code, err, wrote = evolve_with_template(tmp_path, capsys, key, lambda template: f"{template} {placeholder}")
+    assert (code, wrote) == (2, False)
+    assert err.startswith(f"error: {key} cannot take {name};")
 
 
 @pytest.mark.parametrize("outcome", sorted(_OUTCOMES))

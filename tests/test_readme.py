@@ -17,6 +17,7 @@ from passevo import (
 )
 from passevo.cli import _OVERRIDE_FLAGS, build_parser
 from passevo.config import _SECTIONS
+from passevo.fitness import _STAGE_PLACEHOLDERS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -80,3 +81,11 @@ def test_cli_synopsis_names_only_real_flags():
         usage = subcommands[command].format_usage()
         assert flags <= set(re.findall(r"--[\w-]+", usage)), command
     assert set(_OVERRIDE_FLAGS) <= synopsis["evolve"]
+
+
+def test_stage_rule_names_each_stages_placeholders():
+    text = " ".join(README.read_text("utf-8").split("Command templates are split shell-style", 1)[1].split())
+    stages = {"front end": "compiler_front_command", "optimizer": "optimizer_command", "linker": "linker_command"}
+    stated = re.findall(r"the (front end|optimizer|linker) takes ((?:`\{\w+\}`(?:, | and )?)+)", text)
+    assert {stages[stage]: tuple(re.findall(r"\{(\w+)\}", names)) for stage, names in stated} == _STAGE_PLACEHOLDERS
+    assert len(stated) == len(stages)
