@@ -23,8 +23,11 @@ a copy of it under its own sequence digest and no run is repeated. Many pass
 sequences give the same IR, and more still the same binary: a pass that is a
 no-op at its position, or one a later pass undoes, changes nothing.
 
-The IR key ignores a leading "; ModuleID = '...'" line, because `opt -S`
-writes the path of its input there and every build has its own directory.
+The IR key leaves out what `opt -S` writes from the path of its input,
+because every build has its own directory: a leading "; ModuleID = '...'"
+line, and a source_filename line right after it that names the same path,
+which opt writes when the input IR names none. Any other source_filename
+(the one a front end writes) counts.
 
 Every failure of a build stage or a timed run passes through one
 EvaluationFailure, which evaluate turns into the penalty record. A tool or
@@ -91,12 +94,16 @@ DIAGNOSTICS_KEPT = 2000
 # Longest run_timeout or compile_timeout, in seconds (about 31 years); select overflows near 9.2e9.
 MAX_TIMEOUT = 1e9
 
-# The placeholders each stage's template may take. Only the optimizer sees the candidate,
-# so the front end writes the same IR for every one and the optimized IR decides the executable.
+# The placeholders each stage's template may take and, if kind = external_compiler, must take (one of each group).
+# Only the optimizer sees the candidate, so the optimized IR decides the executable; the front end need take nothing.
 _STAGE_PLACEHOLDERS = {"compiler_front_command": ("source", "ir"),
                        "optimizer_command": ("ir", "output", "passes", "passes_csv"),
                        "linker_command": ("ir", "output")}
+_STAGE_REQUIRES = {"optimizer_command": (("passes", "passes_csv"), ("output",)),
+                   "linker_command": (("ir",), ("output",))}
 _PLACEHOLDER = re.compile(r"\{(source|ir|output|passes|passes_csv)\}")
+# '; ModuleID', then any source_filename that names the same path: what opt -S writes from its input path.
+_OPT_HEADER = re.compile(rb"; ModuleID = '(.*)'\n(?:source_filename = \"\1\"\n)?")
 
 
 class EvaluationStatus(enum.Enum):
@@ -110,7 +117,7 @@ class EvaluationStatus(enum.Enum):
 class BackendConfig:
     """Everything an evaluation needs; command templates split shell-style and take
     the placeholders in _STAGE_PLACEHOLDERS, {passes} only as a whole argument.
-    The external_compiler kind needs source_path and all three templates."""
+    The external_compiler kind needs source_path and all three templates, each taking what _STAGE_REQUIRES names."""
 
     kind: str = KIND_SIMULATED
     source_path: str = ""
@@ -137,12 +144,15 @@ class BackendConfig:
                 tokens = shlex.split(getattr(self, key))
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-            for token in tokens:
-                for name in _PLACEHOLDER.findall(token):
-                    if name not in allowed:
-                        raise ValueError(f"{key} cannot take {{{name}}}; it takes {{{'}, {'.join(allowed)}}}")
-                    if name == "passes" and token != "{passes}":
-                        raise ValueError(f"{key}: {{passes}} must be a whole argument; use {{passes_csv}} in one")
+            taken = [name for token in tokens for name in _PLACEHOLDER.findall(token)]
+            for name in taken:
+                if name not in allowed:
+                    raise ValueError(f"{key} cannot take {{{name}}}; it takes {{{'}, {'.join(allowed)}}}")
+            if any("{passes}" in token and token != "{passes}" for token in tokens):
+                raise ValueError(f"{key}: {{passes}} must be a whole argument; use {{passes_csv}} in one")
+            for names in _STAGE_REQUIRES.get(key, ()) if self.kind == KIND_EXTERNAL else ():
+                if not set(names).intersection(taken):
+                    raise ValueError(f"{key} must take {{{'} or {'.join(names)}}}")
         if self.runs_per_eval < 1:
             raise ValueError("runs_per_eval must be >= 1")
         for key in ("run_timeout", "compile_timeout", "sim_base_runtime"):
@@ -386,10 +396,9 @@ def _check(result: RunResult, what: str, status: EvaluationStatus) -> float:
 
 
 def ir_digest(optimized_ir: bytes) -> str:
-    """Digest of an optimized IR file, leaving out a leading '; ModuleID' line."""
-    if optimized_ir.startswith(b"; ModuleID = "):
-        optimized_ir = optimized_ir[optimized_ir.find(b"\n") + 1 :]
-    return hashlib.sha256(optimized_ir).hexdigest()
+    """Digest of an optimized IR file, leaving out the header opt writes from its input path (module docstring)."""
+    header = _OPT_HEADER.match(optimized_ir)
+    return hashlib.sha256(optimized_ir[header.end() if header else 0 :]).hexdigest()
 
 
 def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cache: EvaluationCache) -> Path:
@@ -397,7 +406,7 @@ def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cac
 
     An optimized IR that has been linked before, as `cache` knows, gets the
     executable it linked to written back, and the linker does not run.
-    Raises EvaluationFailure with the failing stage's captured output.
+    Raises EvaluationFailure for a failed stage or a missing output file.
     """
     ir = build_dir / "program.ir"
     optimized = build_dir / "program.opt.ir"
@@ -406,22 +415,20 @@ def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cac
     def run(name: str, template: str, subs: dict[str, str]) -> None:
         argv = expand_command(template, subs, seq.passes)
         _check(time_execution(argv, cfg.compile_timeout), name, EvaluationStatus.COMPILE_ERROR)
+        output = subs.get("output")
+        if output is not None and not os.path.isfile(output):
+            raise EvaluationFailure(EvaluationStatus.COMPILE_ERROR, f"{name} exited 0 but wrote no {Path(output).name}")
 
     run("front-end", cfg.compiler_front_command, {"source": cfg.source_path, "ir": str(ir)})
     run("optimizer", cfg.optimizer_command, {"ir": str(ir), "output": str(optimized)})
-    key = None
-    if optimized.is_file():
-        key = ir_digest(optimized.read_bytes())
-        linked = cache.get_linked(key)
-        if linked is not None:
-            exe.write_bytes(linked)
-            exe.chmod(0o755)
-            return exe
+    key = ir_digest(optimized.read_bytes())
+    linked = cache.get_linked(key)
+    if linked is not None:
+        exe.write_bytes(linked)
+        exe.chmod(0o755)
+        return exe
     run("linker", cfg.linker_command, {"ir": str(optimized), "output": str(exe)})
-    if not exe.is_file():
-        raise EvaluationFailure(EvaluationStatus.COMPILE_ERROR, f"linker exited 0 but wrote no {exe.name}")
-    if key is not None:
-        cache.put_linked(key, exe.read_bytes())
+    cache.put_linked(key, exe.read_bytes())
     return exe
 
 

@@ -456,3 +456,30 @@ def test_undecodable_input_exit_two(tmp_path, capsys, argv):
              "baseline": tmp_path / "baseline.txt", "patch": patch}
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert str(blob) in capsys.readouterr().err
+
+
+# --- the shipped LLVM 14 experiment -----------------------------------------------
+
+def test_llvm14_config_runs_at_toy_size(tmp_path, capsys, monkeypatch):
+    import shutil
+
+    if not all(shutil.which(tool) for tool in ("opt", "llc", "gcc")):
+        pytest.skip("needs opt, llc and gcc on PATH")
+    if "LLVM version 14." not in subprocess.run(["opt", "--version"], capture_output=True, text=True).stdout:
+        pytest.skip("needs LLVM 14 opt")
+    repo = Path(__file__).resolve().parent.parent
+    text = (repo / "configs" / "llvm14.ini").read_text("utf-8")
+    for paper, toy in (("generations = 25", "generations = 2"), ("population_size = 30", "population_size = 6"),
+                       ("runs_per_eval = 10", "runs_per_eval = 2")):
+        assert text.count(paper) == 1, paper
+        text = text.replace(paper, toy)
+    config = tmp_path / "llvm14.ini"
+    config.write_text(text, "utf-8")
+    out_dir = tmp_path / "out"
+    monkeypatch.chdir(repo)
+    assert main(["evolve", "--config", str(config), "--trials", "2", "--output-dir", str(out_dir)]) == 0
+    assert "completed trials: 2/2" in capsys.readouterr().out
+    trials = json.loads((out_dir / "summary.json").read_text("utf-8"))["trials"]
+    assert [(t["trial_index"], t["status"]) for t in trials] == [(0, "ok"), (1, "ok")]
+    rows = [json.loads(line) for line in (out_dir / "eval_cache.jsonl").read_text("utf-8").splitlines()]
+    assert rows and all(row["status"] == "ok" and row["exe"] for row in rows)

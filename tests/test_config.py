@@ -163,7 +163,7 @@ def external_config_text(tmp_path) -> str:
         "kind = external_compiler\n"
         f"source_path = {source}\n"
         "compiler_front_command = cc {source} -o {ir}\n"
-        "optimizer_command = true {passes}\n"
+        "optimizer_command = true {passes} {output}\n"
         "linker_command = cp {ir} {output}\n"
         'program_args = --size 10 "two words"\n'
     )
@@ -187,15 +187,16 @@ def test_external_kind_requires_commands_and_source(tmp_path):
         "kind = external_compiler\n"
         "source_path = /nonexistent/prog.c\n"
         "compiler_front_command = a\n"
-        "optimizer_command = b\n"
-        "linker_command = c\n"
+        "optimizer_command = b {passes} {output}\n"
+        "linker_command = c {ir} {output}\n"
     )
     with pytest.raises(ValidationError) as err:
         parse_config_text(missing)
     assert "/nonexistent/prog.c" in str(err.value)
 
     # a config built in code gets the same check
-    commands = dict(source_path="p.c", compiler_front_command="a", optimizer_command="b", linker_command="c")
+    commands = dict(source_path="p.c", compiler_front_command="a", optimizer_command="b {passes} {output}",
+                    linker_command="c {ir} {output}")
     for key in commands:
         with pytest.raises(ValueError, match=f"^{key} is required"):
             BackendConfig(kind="external_compiler", **dict(commands, **{key: ""}))

@@ -41,6 +41,7 @@ from passevo.fitness import (
 )
 
 from conftest import (
+    FAKE_TOOL,
     assert_trusted_is_public,
     evolve_with_template,
     external_config_text,
@@ -586,7 +587,8 @@ def test_time_execution_timeout_leaves_an_escaped_descendant_running(tmp_path):
 
 
 # A leader that prints, forks a child into its own session that records its
-# pid and sleeps holding the output file, and exits 0 at once.
+# pid and sleeps holding the output file, and exits 0 as soon as the child has
+# left its process group (a child still in it would die in the group kill).
 _DAEMONIZING_LEADER = """
 import os, sys, time
 print("done", flush=True)
@@ -595,6 +597,8 @@ if os.fork() == 0:
     with open(sys.argv[1], "w") as fh:
         fh.write(f"{os.getpid()}\\n")
     time.sleep(8)
+while not os.path.exists(sys.argv[1]):
+    time.sleep(0.01)
 os._exit(0)
 """
 
@@ -921,6 +925,22 @@ def test_ir_digest_ignores_only_the_leading_module_id():
     assert ir_digest(b"\n; ModuleID = 'a'\n" + body) != ir_digest(b"\n; ModuleID = 'b'\n" + body)
     assert ir_digest(b"; comment a\n" + body) != ir_digest(b"; comment b\n" + body)
 
+    # opt names its input path in source_filename too when the input IR names none; that line is left out
+    code = b"\ndefine i32 @main() {\n  ret i32 0\n}\n"
+
+    def opt_wrote(path: bytes, source_filename: bytes, gap: bytes = b"") -> bytes:
+        return b"; ModuleID = '" + path + b"'\n" + gap + b'source_filename = "' + source_filename + b'"\n' + code
+
+    assert ir_digest(opt_wrote(b"/tmp/passevo-a/program.ir", b"/tmp/passevo-a/program.ir")) == ir_digest(
+        opt_wrote(b"/tmp/passevo-b/program.ir", b"/tmp/passevo-b/program.ir")) == ir_digest(code)
+    # any other source_filename counts: the front end's, another path, one not right after the ModuleID line
+    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"main.c")) != ir_digest(opt_wrote(b"/tmp/a.ir", b"other.c"))
+    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"main.c")) != ir_digest(code)
+    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"/tmp/b.ir")) != ir_digest(opt_wrote(b"/tmp/a.ir", b"/tmp/c.ir"))
+    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"/tmp/a.ir", b"\n")) != ir_digest(
+        opt_wrote(b"/tmp/b.ir", b"/tmp/b.ir", b"\n"))
+    assert ir_digest(b'source_filename = "/tmp/a.ir"\n' + code) != ir_digest(b'source_filename = "/tmp/b.ir"\n' + code)
+
 
 @pytest.fixture
 def tool_calls(monkeypatch):
@@ -968,6 +988,37 @@ def test_only_the_optimizer_takes_the_candidate(tmp_path, capsys, key, placehold
     assert err.startswith(f"error: {key} cannot take {name};")
 
 
+_MISSING = {
+    # the optimizer never sees the candidate, so every build would be the same
+    "no-candidate": ("optimizer_command", lambda _: "opt -S -enable-new-pm=0 -O3 {ir} -o {output}",
+                     "{passes} or {passes_csv}"),
+    "no-optimized-ir": ("optimizer_command", lambda template: template.replace("{output}", "out.ll"), "{output}"),
+    "no-linker-input": ("linker_command", lambda template: template.replace("{ir}", "fixed.ll"), "{ir}"),
+    "no-executable": ("linker_command", lambda template: template.replace("{output}", "a.out"), "{output}"),
+}
+
+
+@pytest.mark.parametrize("missing", _MISSING)
+def test_a_stage_without_what_it_must_take_exits_two(tmp_path, capsys, missing):
+    key, edit, names = _MISSING[missing]
+    with pytest.raises(ValueError, match=f"^{key} must take {re.escape(names)}$"):
+        fake_backend(tmp_path, **{key: edit(getattr(fake_backend(tmp_path), key))})
+    code, err, wrote = evolve_with_template(tmp_path, capsys, key, edit)
+    assert (code, wrote) == (2, False)
+    assert err == f"error: {key} must take {names}\n"
+
+
+def test_front_end_and_optimizer_input_are_not_required(tmp_path):
+    """A no-op front end beside an optimizer that reads a fixed file builds; a simulated config needs no template."""
+    fixed = tmp_path / "fixed.ir"
+    fixed.write_text("ok\n")
+    cfg = fake_backend(tmp_path, compiler_front_command="true",
+                       optimizer_command=f"{sys.executable} {FAKE_TOOL} opt {fixed} {{output}} {{passes}}")
+    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
+    assert record.status is EvaluationStatus.OK, record.diagnostics
+    assert fitness_mod.BackendConfig(optimizer_command="opt {ir}").kind == "simulated"
+
+
 @pytest.mark.parametrize("outcome", sorted(_OUTCOMES))
 def test_failed_link_is_never_stored(tmp_path, monkeypatch, outcome):
     """A link that fails, even after writing its output, is run again for the same IR."""
@@ -993,15 +1044,18 @@ def test_failed_link_is_never_stored(tmp_path, monkeypatch, outcome):
     assert first.diagnostics.startswith("linker ")
 
 
-def test_optimizer_that_writes_no_ir_is_a_link_error(tmp_path):
-    cfg = fake_backend(tmp_path, optimizer_command=f"{sys.executable} -c pass")
-    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
+def test_optimizer_that_writes_no_ir_is_a_compile_error(tmp_path, tool_calls):
+    cfg = fake_backend(tmp_path, optimizer_command=f"{sys.executable} -c pass {{output}} {{passes}}")
+    cache = EvaluationCache()
+    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
     assert record.status is EvaluationStatus.COMPILE_ERROR
-    assert record.diagnostics.startswith("linker failed (exit 1):")
+    assert record.diagnostics == "optimizer exited 0 but wrote no program.opt.ir"
+    assert cache.get(record.sequence_digest) == record
+    assert len(tool_calls) == 2 and "link" not in _fake_stages(tool_calls)
 
 
 def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path):
-    cfg = fake_backend(tmp_path, linker_command=f"{sys.executable} -c pass")
+    cfg = fake_backend(tmp_path, linker_command=f"{sys.executable} -c pass {{ir}} {{output}}")
     cache = EvaluationCache()
     record = evaluate(PassSequence(("-sroa",)), cfg, cache)
     assert record.status is EvaluationStatus.COMPILE_ERROR
@@ -1238,12 +1292,21 @@ def test_time_execution_on_real_compiled_binary(tmp_path):
 # --- real LLVM 14 toolchain without clang -------------------------------------
 
 def test_llvm14_identical_binaries_timed_once(tmp_path, tool_calls):
+    _llvm14_builds_link_once(tmp_path, tool_calls, 'source_filename = "main.ll"\n\n')
+
+
+def test_llvm14_ir_without_source_filename_links_once(tmp_path, tool_calls):
+    """opt then names each build's own input path in source_filename, which the IR key leaves out."""
+    _llvm14_builds_link_once(tmp_path, tool_calls, "")
+
+
+def _llvm14_builds_link_once(tmp_path, tool_calls, header: str) -> None:
     import shutil
 
     if not all(shutil.which(tool) for tool in ("opt", "llc", "gcc")):
         pytest.skip("needs opt, llc and gcc on PATH")
     source = tmp_path / "main.ll"
-    source.write_text('source_filename = "main.ll"\n\ndefine i32 @main() {\n  ret i32 0\n}\n', "utf-8")
+    source.write_text(header + "define i32 @main() {\n  ret i32 0\n}\n", "utf-8")
     cfg = fitness_mod.BackendConfig(
         kind="external_compiler",
         source_path=str(source),
@@ -1262,8 +1325,8 @@ def test_llvm14_identical_binaries_timed_once(tmp_path, tool_calls):
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)
     assert first.status is EvaluationStatus.OK, first.diagnostics
     assert links_and_runs() == (1, 3)
-    # -verify changes no code; each build has its own directory, so the
-    # optimized IR differs only in the path opt writes into '; ModuleID'
+    # -verify changes no code; each build has its own directory, so the optimized
+    # IR differs only in the path opt writes into '; ModuleID' (and source_filename)
     second = evaluate(PassSequence(("-sroa", "-verify")), cfg, cache)
     assert second.status is EvaluationStatus.OK, second.diagnostics
     assert links_and_runs() == (1, 3)

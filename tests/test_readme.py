@@ -17,7 +17,7 @@ from passevo import (
 )
 from passevo.cli import _OVERRIDE_FLAGS, build_parser
 from passevo.config import _SECTIONS
-from passevo.fitness import _STAGE_PLACEHOLDERS
+from passevo.fitness import _STAGE_PLACEHOLDERS, _STAGE_REQUIRES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -89,3 +89,15 @@ def test_stage_rule_names_each_stages_placeholders():
     stated = re.findall(r"the (front end|optimizer|linker) takes ((?:`\{\w+\}`(?:, | and )?)+)", text)
     assert {stages[stage]: tuple(re.findall(r"\{(\w+)\}", names)) for stage, names in stated} == _STAGE_PLACEHOLDERS
     assert len(stated) == len(stages)
+
+
+def test_required_rule_names_what_each_stage_must_take():
+    text = " ".join(README.read_text("utf-8").split("Command templates are split shell-style", 1)[1].split())
+    stages = {"optimizer": "optimizer_command", "linker": "linker_command"}
+    stated = re.findall(r"the (optimizer|linker) must take ((?:`\{\w+\}`(?:,? and | or )?)+)", text)
+    assert {
+        stages[stage]: tuple(tuple(re.findall(r"\{(\w+)\}", group)) for group in re.split(r",? and ", names))
+        for stage, names in stated
+    } == _STAGE_REQUIRES
+    assert len(stated) == len(stages)
+    assert "The front end need take nothing" in text
