@@ -23,21 +23,16 @@ class ExecutionError(PassEvoError):
     pass
 
 
-def require_file(path: str | Path, what: str) -> Path:
-    """The path as a Path; ValidationError if it names no regular file."""
-    file = Path(path)
-    if not file.is_file():
-        raise ValidationError(f"{what} file not found: {path}")
-    return file
-
-
 def read_input(path: str | Path, what: str) -> str:
     """Read a user-supplied text file as UTF-8.
 
     A missing, unreadable or undecodable file is a ValidationError naming it.
     """
+    file = Path(path)
+    if not file.is_file():
+        raise ValidationError(f"{what} file not found: {path}")
     try:
-        return require_file(path, what).read_text("utf-8")
+        return file.read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
 

@@ -94,13 +94,11 @@ DIAGNOSTICS_KEPT = 2000
 # Longest run_timeout or compile_timeout, in seconds (about 31 years); select overflows near 9.2e9.
 MAX_TIMEOUT = 1e9
 
-# The placeholders each stage's template may take and, if kind = external_compiler, must take (one of each group).
+# Per stage key: the placeholders its template may take and, if kind = external_compiler, must take (one of each group).
 # Only the optimizer sees the candidate, so the optimized IR decides the executable; the front end need take nothing.
-_STAGE_PLACEHOLDERS = {"compiler_front_command": ("source", "ir"),
-                       "optimizer_command": ("ir", "output", "passes", "passes_csv"),
-                       "linker_command": ("ir", "output")}
-_STAGE_REQUIRES = {"optimizer_command": (("passes", "passes_csv"), ("output",)),
-                   "linker_command": (("ir",), ("output",))}
+_STAGES = {"compiler_front_command": (("source", "ir"), ()),
+           "optimizer_command": (("ir", "output", "passes", "passes_csv"), (("passes", "passes_csv"), ("output",))),
+           "linker_command": (("ir", "output"), (("ir",), ("output",)))}
 _PLACEHOLDER = re.compile(r"\{(source|ir|output|passes|passes_csv)\}")
 # '; ModuleID', then any source_filename that names the same path: what opt -S writes from its input path.
 _OPT_HEADER = re.compile(rb"; ModuleID = '(.*)'\n(?:source_filename = \"\1\"\n)?")
@@ -116,8 +114,9 @@ class EvaluationStatus(enum.Enum):
 @dataclass(frozen=True)
 class BackendConfig:
     """Everything an evaluation needs; command templates split shell-style and take
-    the placeholders in _STAGE_PLACEHOLDERS, {passes} only as a whole argument.
-    The external_compiler kind needs source_path and all three templates, each taking what _STAGE_REQUIRES names."""
+    the placeholders _STAGES allows, {passes} only as a whole argument. The
+    external_compiler kind needs an existing source file, all three templates,
+    each taking what _STAGES requires, and os.pidfd_open."""
 
     kind: str = KIND_SIMULATED
     source_path: str = ""
@@ -136,21 +135,23 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in (KIND_EXTERNAL, KIND_SIMULATED):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-        for key in ("source_path", "compiler_front_command", "optimizer_command", "linker_command"):
-            if self.kind == KIND_EXTERNAL and not getattr(self, key):
-                raise ValueError(f"{key} is required when kind = {KIND_EXTERNAL}")
-        for key, allowed in _STAGE_PLACEHOLDERS.items():
+        external = self.kind == KIND_EXTERNAL
+        if external and not self.source_path:
+            raise ValueError(f"source_path is required when kind = {KIND_EXTERNAL}")
+        for key, (allowed, required) in _STAGES.items():
             try:
                 tokens = shlex.split(getattr(self, key))
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
+            if external and not tokens:
+                raise ValueError(f"{key} is required when kind = {KIND_EXTERNAL}")
             taken = [name for token in tokens for name in _PLACEHOLDER.findall(token)]
             for name in taken:
                 if name not in allowed:
                     raise ValueError(f"{key} cannot take {{{name}}}; it takes {{{'}, {'.join(allowed)}}}")
             if any("{passes}" in token and token != "{passes}" for token in tokens):
                 raise ValueError(f"{key}: {{passes}} must be a whole argument; use {{passes_csv}} in one")
-            for names in _STAGE_REQUIRES.get(key, ()) if self.kind == KIND_EXTERNAL else ():
+            for names in required if external else ():
                 if not set(names).intersection(taken):
                     raise ValueError(f"{key} must take {{{'} or {'.join(names)}}}")
         if self.runs_per_eval < 1:
@@ -163,6 +164,14 @@ class BackendConfig:
                 raise ValueError(f"{key} must be <= {MAX_TIMEOUT:,.0f} seconds")
         if self.sim_target_edits < 0:
             raise ValueError("sim_target_edits must be >= 0")
+        if external:
+            if not Path(self.source_path).is_file():
+                raise ValueError(f"source file not found: {self.source_path}")
+            # time_execution waits on a pidfd; an old kernel or a seccomp filter refuses the call itself
+            try:
+                os.close(os.pidfd_open(os.getpid()))
+            except (AttributeError, OSError) as exc:
+                raise ValueError(f"kind = {KIND_EXTERNAL} needs os.pidfd_open, Linux 5.3 or later: {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import passevo.fitness as fitness_mod
 from passevo.catalog import PassCatalog, PassSequence, serialize_catalog, serialize_sequence
 from passevo.cli import main
 from passevo.fitness import BackendConfig
@@ -36,6 +37,20 @@ def assert_trusted_is_public(trusted, public) -> None:
 @pytest.fixture
 def catalog6() -> PassCatalog:
     return make_catalog(6)
+
+
+@pytest.fixture
+def tool_calls(monkeypatch):
+    """Record the argv of every process an evaluation starts: build stages and runs."""
+    calls = []
+    real = fitness_mod.time_execution
+
+    def recording(argv, timeout):
+        calls.append(argv)
+        return real(argv, timeout)
+
+    monkeypatch.setattr(fitness_mod, "time_execution", recording)
+    return calls
 
 
 def write_test_inputs(dir_path: Path, catalog_size: int = 16, baseline_len: int = 10):
@@ -138,7 +153,7 @@ def external_config_text(
 
 
 def evolve_with_template(tmp_path, capsys, key, edit):
-    """`passevo evolve` on the fake toolchain with `key`'s template passed through `edit`:
+    """`passevo evolve` on the fake toolchain with `key`'s value passed through `edit`:
     the exit code, stderr, and whether the output directory was made."""
     catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
     out_dir = tmp_path / "out"

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -6,9 +8,8 @@ import pytest
 from passevo.cli import main
 from passevo.config import load_config, parse_config_text, write_config
 from passevo.errors import ValidationError
-from passevo.fitness import BackendConfig
 
-from conftest import write_test_inputs
+from conftest import evolve_with_template, fake_backend, write_test_inputs
 
 
 MINIMAL = """\
@@ -155,7 +156,7 @@ def test_seeds_parse_with_commas_or_spaces():
         parse_config_text(with_experiment_key("seeds = 1 two"))
 
 
-def external_config_text(tmp_path) -> str:
+def external_backend_text(tmp_path) -> str:
     source = tmp_path / "p.c"
     source.write_text("int main(){}\n")
     return (
@@ -170,36 +171,30 @@ def external_config_text(tmp_path) -> str:
 
 
 def test_program_args_split_shell_style(tmp_path):
-    cfg = parse_config_text(external_config_text(tmp_path))
+    cfg = parse_config_text(external_backend_text(tmp_path))
     assert cfg.backend.program_args == ("--size", "10", "two words")
     with pytest.raises(ValidationError, match=r"^\[backend\] program_args: No closing quotation"):
-        parse_config_text(external_config_text(tmp_path).replace('"two words"', '"unclosed'))
+        parse_config_text(external_backend_text(tmp_path).replace('"two words"', '"unclosed'))
 
 
-def test_external_kind_requires_commands_and_source(tmp_path):
+def test_external_kind_requires_commands_and_source(tmp_path, capsys):
     text = "[backend]\nkind = external_compiler\n"
     with pytest.raises(ValidationError) as err:
         parse_config_text(text)
     assert "source_path" in str(err.value)
 
-    missing = (
-        "[backend]\n"
-        "kind = external_compiler\n"
-        "source_path = /nonexistent/prog.c\n"
-        "compiler_front_command = a\n"
-        "optimizer_command = b {passes} {output}\n"
-        "linker_command = c {ir} {output}\n"
-    )
-    with pytest.raises(ValidationError) as err:
-        parse_config_text(missing)
-    assert "/nonexistent/prog.c" in str(err.value)
-
-    # a config built in code gets the same check
-    commands = dict(source_path="p.c", compiler_front_command="a", optimizer_command="b {passes} {output}",
-                    linker_command="c {ir} {output}")
-    for key in commands:
-        with pytest.raises(ValueError, match=f"^{key} is required"):
-            BackendConfig(kind="external_compiler", **dict(commands, **{key: ""}))
+    missing = tmp_path / "nonexistent" / "prog.c"
+    cases = [("source_path", str(missing), f"source file not found: {missing}")]
+    for key in ("source_path", "compiler_front_command", "optimizer_command", "linker_command"):
+        cases.append((key, "", f"{key} is required when kind = external_compiler"))
+    # a whitespace-only template has no argv to run, so it counts as missing too
+    for key in ("compiler_front_command", "optimizer_command", "linker_command"):
+        cases.append((key, " \t ", f"{key} is required when kind = external_compiler"))
+    # a config built in code gets the same checks, with the text a config file exits 2 with
+    for key, value, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fake_backend(tmp_path, **{key: value})
+        assert evolve_with_template(tmp_path, capsys, key, lambda _: value) == (2, f"error: {message}\n", False)
 
 
 def _no_pidfd_open(*_):
@@ -207,14 +202,21 @@ def _no_pidfd_open(*_):
 
 
 @pytest.mark.parametrize("platform", ["no os.pidfd_open", "a kernel without the call"])
-def test_external_kind_requires_pidfd_open(tmp_path, monkeypatch, platform):
+def test_external_kind_requires_pidfd_open(tmp_path, capsys, monkeypatch, platform):
+    backend = fake_backend(tmp_path)
     if platform == "no os.pidfd_open":
         monkeypatch.delattr(os, "pidfd_open", raising=False)
     else:
         monkeypatch.setattr(os, "pidfd_open", _no_pidfd_open, raising=False)
-    with pytest.raises(ValidationError, match="needs os.pidfd_open, Linux 5.3 or later"):
-        parse_config_text(external_config_text(tmp_path))
+    # a config built in code gets the same check, with the text a config file exits 2 with
+    with pytest.raises(ValueError, match="^kind = external_compiler needs os.pidfd_open, Linux 5.3 or later: ") as err:
+        dataclasses.replace(backend)
+    unchanged = evolve_with_template(tmp_path, capsys, "source_path", lambda path: path)
+    assert unchanged == (2, f"error: {err.value}\n", False)
     assert parse_config_text(MINIMAL).backend.kind == "simulated"
+    # `passevo simulate` overrides the kind before the BackendConfig is built
+    simulated = parse_config_text(external_backend_text(tmp_path), {("backend", "kind"): "simulated"})
+    assert simulated.backend.kind == "simulated"
 
 
 def test_overrides_beat_file_values():
@@ -246,7 +248,7 @@ def test_write_config_round_trips(tmp_path):
     write_config(cfg, echo)
     assert load_config(echo) == cfg
 
-    external = parse_config_text(external_config_text(tmp_path))
+    external = parse_config_text(external_backend_text(tmp_path))
     write_config(external, echo)
     assert load_config(echo) == external
 

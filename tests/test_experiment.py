@@ -309,3 +309,23 @@ def test_external_records_fn_keeps_request_order(tmp_path):
     assert records[0] == records[2]
     rows = [json.loads(line)["digest"] for line in cache_file.read_text().splitlines()]
     assert rows == [sequence_digest(s) for s in (seqs[0], seqs[1], seqs[3])]
+
+
+def test_rerun_in_the_same_output_dir_starts_no_process(tmp_path, tool_calls):
+    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
+    cfg = ExperimentConfig(
+        catalog_path=str(catalog_path),
+        baseline_path=str(baseline_path),
+        ga=GAConfig(population_size=6, generations=3, rng_seed=5),
+        backend=fake_backend(tmp_path, runs_per_eval=2),
+        trials=2,
+        output_dir=str(tmp_path / "out"),
+    )
+    run_trials(cfg)
+    assert tool_calls
+    summary = (tmp_path / "out" / "summary.json").read_bytes()
+    tool_calls.clear()
+    # the resumed run answers every candidate and the baseline from eval_cache.jsonl
+    run_trials(cfg)
+    assert tool_calls == []
+    assert (tmp_path / "out" / "summary.json").read_bytes() == summary

@@ -942,20 +942,6 @@ def test_ir_digest_ignores_only_the_leading_module_id():
     assert ir_digest(b'source_filename = "/tmp/a.ir"\n' + code) != ir_digest(b'source_filename = "/tmp/b.ir"\n' + code)
 
 
-@pytest.fixture
-def tool_calls(monkeypatch):
-    """Record the argv of every process an evaluation starts: build stages and runs."""
-    calls = []
-    real = fitness_mod.time_execution
-
-    def recording(argv, timeout):
-        calls.append(argv)
-        return real(argv, timeout)
-
-    monkeypatch.setattr(fitness_mod, "time_execution", recording)
-    return calls
-
-
 def _fake_stages(calls) -> list[str]:
     """Each recorded fake-toolchain call as front, opt, link or run."""
     return ["run" if argv[0].endswith("program.bin") else argv[2] for argv in calls]

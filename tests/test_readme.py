@@ -17,7 +17,7 @@ from passevo import (
 )
 from passevo.cli import _OVERRIDE_FLAGS, build_parser
 from passevo.config import _SECTIONS
-from passevo.fitness import _STAGE_PLACEHOLDERS, _STAGE_REQUIRES
+from passevo.fitness import _STAGES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,21 +83,13 @@ def test_cli_synopsis_names_only_real_flags():
     assert set(_OVERRIDE_FLAGS) <= synopsis["evolve"]
 
 
-def test_stage_rule_names_each_stages_placeholders():
-    text = " ".join(README.read_text("utf-8").split("Command templates are split shell-style", 1)[1].split())
-    stages = {"front end": "compiler_front_command", "optimizer": "optimizer_command", "linker": "linker_command"}
-    stated = re.findall(r"the (front end|optimizer|linker) takes ((?:`\{\w+\}`(?:, | and )?)+)", text)
-    assert {stages[stage]: tuple(re.findall(r"\{(\w+)\}", names)) for stage, names in stated} == _STAGE_PLACEHOLDERS
-    assert len(stated) == len(stages)
-
-
-def test_required_rule_names_what_each_stage_must_take():
-    text = " ".join(README.read_text("utf-8").split("Command templates are split shell-style", 1)[1].split())
-    stages = {"optimizer": "optimizer_command", "linker": "linker_command"}
-    stated = re.findall(r"the (optimizer|linker) must take ((?:`\{\w+\}`(?:,? and | or )?)+)", text)
+def test_stage_table_is_the_stage_rule():
+    section = README.read_text("utf-8").split("Command templates are split shell-style", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", section, re.M)
     assert {
-        stages[stage]: tuple(tuple(re.findall(r"\{(\w+)\}", group)) for group in re.split(r",? and ", names))
-        for stage, names in stated
-    } == _STAGE_REQUIRES
-    assert len(stated) == len(stages)
-    assert "The front end need take nothing" in text
+        key: (tuple(re.findall(r"\{(\w+)\}", allowed)),
+              tuple(tuple(re.findall(r"\{(\w+)\}", group)) for group in re.split(r",? and ", required)
+                    if group != "nothing"))
+        for key, allowed, required in rows
+    } == _STAGES
+    assert len(rows) == len(_STAGES)
