@@ -83,13 +83,22 @@ def test_cli_synopsis_names_only_real_flags():
     assert set(_OVERRIDE_FLAGS) <= synopsis["evolve"]
 
 
-def test_stage_table_is_the_stage_rule():
+def stage_table():
     section = README.read_text("utf-8").split("Command templates are split shell-style", 1)[1]
     rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", section, re.M)
-    assert {
-        key: (tuple(re.findall(r"\{(\w+)\}", allowed)),
-              tuple(tuple(re.findall(r"\{(\w+)\}", group)) for group in re.split(r",? and ", required)
-                    if group != "nothing"))
-        for key, allowed, required in rows
-    } == _STAGES
     assert len(rows) == len(_STAGES)
+    return rows
+
+
+def test_stage_rule_names_each_stages_placeholders():
+    assert {key: tuple(re.findall(r"\{(\w+)\}", allowed)) for key, allowed, _ in stage_table()} == {
+        key: allowed for key, (allowed, _) in _STAGES.items()
+    }
+
+
+def test_required_rule_names_what_each_stage_must_take():
+    assert {
+        key: tuple(tuple(re.findall(r"\{(\w+)\}", group)) for group in re.split(r",? and ", required)
+                   if group != "nothing")
+        for key, _, required in stage_table()
+    } == {key: required for key, (_, required) in _STAGES.items()}
