@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import sys
 from pathlib import Path
@@ -8,9 +9,17 @@ import pytest
 import passevo.fitness as fitness_mod
 from passevo.catalog import PassCatalog, PassSequence, serialize_catalog, serialize_sequence
 from passevo.cli import main
-from passevo.fitness import BackendConfig
+from passevo.config import ExperimentConfig, write_config
+from passevo.evolution import GAConfig
+from passevo.fitness import BackendConfig, RunResult
 
 FAKE_TOOL = Path(__file__).parent / "fake_toolchain.py"
+# the fake toolchain's three stage templates; a test that needs another derives it from these
+FAKE_TEMPLATES = {
+    "compiler_front_command": f"{sys.executable} {FAKE_TOOL} front {{source}} {{ir}}",
+    "optimizer_command": f"{sys.executable} {FAKE_TOOL} opt {{ir}} {{output}} {{passes}}",
+    "linker_command": f"{sys.executable} {FAKE_TOOL} link {{ir}} {{output}}",
+}
 
 
 def make_catalog(n: int, prefix: str = "p") -> PassCatalog:
@@ -39,20 +48,6 @@ def catalog6() -> PassCatalog:
     return make_catalog(6)
 
 
-@pytest.fixture
-def tool_calls(monkeypatch):
-    """Record the argv of every process an evaluation starts: build stages and runs."""
-    calls = []
-    real = fitness_mod.time_execution
-
-    def recording(argv, timeout):
-        calls.append(argv)
-        return real(argv, timeout)
-
-    monkeypatch.setattr(fitness_mod, "time_execution", recording)
-    return calls
-
-
 def write_test_inputs(dir_path: Path, catalog_size: int = 16, baseline_len: int = 10):
     """Write a small catalog and baseline to files; return paths and objects."""
     dir_path.mkdir(parents=True, exist_ok=True)
@@ -65,99 +60,85 @@ def write_test_inputs(dir_path: Path, catalog_size: int = 16, baseline_len: int 
     return catalog_path, baseline_path, catalog, baseline
 
 
-def fake_backend(tmp_path: Path, behavior: str = "ok", **kwargs) -> BackendConfig:
-    """External-compiler config wired to the fake toolchain script."""
-    source = tmp_path / "program.src"
-    source.write_text(behavior + "\n")
-    defaults = dict(
-        kind="external_compiler",
-        source_path=str(source),
-        compiler_front_command=f"{sys.executable} {FAKE_TOOL} front {{source}} {{ir}}",
-        optimizer_command=f"{sys.executable} {FAKE_TOOL} opt {{ir}} {{output}} {{passes}}",
-        linker_command=f"{sys.executable} {FAKE_TOOL} link {{ir}} {{output}}",
-        runs_per_eval=2,
-        run_timeout=10.0,
-        compile_timeout=30.0,
-    )
-    defaults.update(kwargs)
-    return BackendConfig(**defaults)
+def experiment_config(tmp_path: Path, fake_toolchain: str | None = None, inputs: tuple[int, int] | None = None,
+                      **fields) -> ExperimentConfig:
+    """A valid config on a catalog and baseline written under tmp_path, with output_dir tmp_path/out.
+
+    The backend is simulated, or with `fake_toolchain` the fake toolchain on a source
+    whose directive is that value (ok, sleep <s>, spin or exit1); its experiment is
+    smaller, since every build starts processes. `inputs` is the catalog size and
+    baseline length, and `fields` sets any field of ExperimentConfig, GAConfig or
+    BackendConfig by name.
+    """
+    default_inputs = (16, 10) if fake_toolchain is None else (6, 3)
+    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, *(inputs or default_inputs))
+    values = dict(catalog_path=str(catalog_path), baseline_path=str(baseline_path), output_dir=str(tmp_path / "out"),
+                  trials=2, population_size=12, generations=6, rng_seed=42)
+    if fake_toolchain is not None:
+        source = tmp_path / "program.src"
+        source.write_text(fake_toolchain + "\n")
+        values.update(trials=1, population_size=4, generations=2, rng_seed=1, kind="external_compiler",
+                      source_path=str(source), **FAKE_TEMPLATES, runs_per_eval=2)
+    values.update(fields)
+    kwargs = {cls: {f.name: values.pop(f.name) for f in dataclasses.fields(cls) if f.name in values}
+              for cls in (GAConfig, BackendConfig, ExperimentConfig)}
+    if values:
+        raise TypeError(f"not a config field: {', '.join(values)}")
+    return ExperimentConfig(ga=GAConfig(**kwargs[GAConfig]), backend=BackendConfig(**kwargs[BackendConfig]),
+                            **kwargs[ExperimentConfig])
 
 
-def sim_config_text(
-    catalog_path,
-    baseline_path,
-    output_dir,
-    trials: int = 2,
-    seeds: str = "",
-    population_size: int = 12,
-    generations: int = 6,
-    rng_seed: int = 42,
-    sim_target_edits: int = 2,
-    sim_base_runtime: float = 1.0,
-    extra_backend: str = "",
-) -> str:
-    seeds_line = f"seeds = {seeds}\n" if seeds else ""
-    return (
-        "[experiment]\n"
-        f"catalog_path = {catalog_path}\n"
-        f"baseline_path = {baseline_path}\n"
-        f"trials = {trials}\n"
-        f"output_dir = {output_dir}\n"
-        f"{seeds_line}"
-        "\n[ga]\n"
-        f"population_size = {population_size}\n"
-        f"generations = {generations}\n"
-        f"rng_seed = {rng_seed}\n"
-        "\n[backend]\n"
-        "kind = simulated\n"
-        f"sim_base_runtime = {sim_base_runtime}\n"
-        f"sim_target_edits = {sim_target_edits}\n"
-        "sim_target_seed = 0\n"
-        f"{extra_backend}"
-    )
+def fake_backend(tmp_path: Path, behavior: str = "ok", **fields) -> BackendConfig:
+    """The backend of experiment_config(tmp_path, behavior, **fields), with a 30 s compile timeout by default."""
+    return experiment_config(tmp_path, behavior, **{"compile_timeout": 30.0, **fields}).backend
 
 
-def external_config_text(
-    tmp_path: Path,
-    catalog_path,
-    baseline_path,
-    output_dir,
-    behavior: str = "ok",
-    runs_per_eval: int = 2,
-    run_timeout: float = 10.0,
-    trials: int = 1,
-    generations: int = 2,
-    population_size: int = 4,
-) -> str:
-    source = tmp_path / "program.src"
-    source.write_text(behavior + "\n")
-    return (
-        "[experiment]\n"
-        f"catalog_path = {catalog_path}\n"
-        f"baseline_path = {baseline_path}\n"
-        f"trials = {trials}\n"
-        f"output_dir = {output_dir}\n"
-        "\n[ga]\n"
-        f"population_size = {population_size}\n"
-        f"generations = {generations}\n"
-        "rng_seed = 1\n"
-        "\n[backend]\n"
-        "kind = external_compiler\n"
-        f"source_path = {source}\n"
-        f"compiler_front_command = {sys.executable} {FAKE_TOOL} front {{source}} {{ir}}\n"
-        f"optimizer_command = {sys.executable} {FAKE_TOOL} opt {{ir}} {{output}} {{passes}}\n"
-        f"linker_command = {sys.executable} {FAKE_TOOL} link {{ir}} {{output}}\n"
-        f"runs_per_eval = {runs_per_eval}\n"
-        f"run_timeout = {run_timeout}\n"
-    )
+def config_file(tmp_path: Path, **kwargs) -> Path:
+    """experiment_config(tmp_path, **kwargs), written by config.write_config to tmp_path/experiment.ini."""
+    path = tmp_path / "experiment.ini"
+    write_config(experiment_config(tmp_path, **kwargs), path)
+    return path
 
 
 def evolve_with_template(tmp_path, capsys, key, edit):
     """`passevo evolve` on the fake toolchain with `key`'s value passed through `edit`:
     the exit code, stderr, and whether the output directory was made."""
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
-    out_dir = tmp_path / "out"
-    text = external_config_text(tmp_path, catalog_path, baseline_path, out_dir)
-    config = tmp_path / "ext.ini"
+    config = config_file(tmp_path, fake_toolchain="ok")
+    text = config.read_text()
     config.write_text(re.sub(f"(?m)^{key} = (.*)$", lambda line: f"{key} = {edit(line[1])}", text))
-    return main(["evolve", "--config", str(config)]), capsys.readouterr().err, out_dir.exists()
+    return main(["evolve", "--config", str(config)]), capsys.readouterr().err, (tmp_path / "out").exists()
+
+
+class Processes:
+    """The one stand-in for fitness.time_execution: every process an evaluation starts.
+
+    `calls` holds each one's (stage, argv). The stage is "run" for a timed run of
+    the built program, else the fake toolchain's stage, argv[2]: front, opt or link.
+    `replies` maps a stage to what its calls return in place of the real call: a
+    RunResult, or a callable given the argv and the real call (no arguments).
+    """
+
+    def __init__(self, real):
+        self.calls: list[tuple[str, list[str]]] = []
+        self.replies: dict = {}
+        self._real = real
+
+    @property
+    def stages(self) -> list[str]:
+        return [stage for stage, _ in self.calls]
+
+    def __call__(self, argv: list[str], timeout: float) -> RunResult:
+        stage = "run" if argv[0].endswith("program.bin") else argv[2]
+        self.calls.append((stage, argv))
+        reply = self.replies.get(stage)
+        real = functools.partial(self._real, argv, timeout)
+        if reply is None:
+            return real()
+        return reply if isinstance(reply, RunResult) else reply(argv, real)
+
+
+@pytest.fixture
+def processes(monkeypatch) -> Processes:
+    seam = Processes(fitness_mod.time_execution)
+    monkeypatch.setattr(fitness_mod, "time_execution", seam)
+    return seam

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from passevo.catalog import load_catalog, search_space_order
 from passevo.cli import main
 from passevo.evolution import GAConfig
-from passevo.experiment import ExperimentConfig, run_trials
+from passevo.experiment import run_trials
 from passevo.fitness import (
     PENALTY,
     BackendConfig,
@@ -28,7 +29,7 @@ from passevo.fitness import (
 from passevo.patches import apply_individual, apply_patch, PatchType
 from passevo.stats import percent_improvement, summarize
 
-from conftest import fake_backend, sim_config_text, write_test_inputs
+from conftest import config_file, experiment_config, fake_backend
 from test_patches import naive_apply, random_corpus
 from test_stats import reported_trial_values, t_sf_oracle
 
@@ -77,14 +78,10 @@ def test_criterion_3_deterministic_evolution(tmp_path):
     digests = []
     for run in ("first", "second"):
         run_dir = tmp_path / run
-        run_dir.mkdir()
         out_dir = run_dir / "out"
-        config = run_dir / "experiment.ini"
-        config.write_text(
-            sim_config_text(
-                "builtin:catalog", "builtin:baseline", out_dir,
-                trials=2, population_size=10, generations=6, rng_seed=2024,
-            )
+        config = config_file(
+            run_dir, catalog_path="builtin:catalog", baseline_path="builtin:baseline",
+            trials=2, population_size=10, generations=6, rng_seed=2024,
         )
         assert main(["evolve", "--config", str(config)]) == 0
         digests.append(
@@ -102,16 +99,8 @@ def test_criterion_3_deterministic_evolution(tmp_path):
 
 def test_criterion_4_simulated_landscape_improvement(tmp_path):
     start = time.perf_counter()
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path)
-    cfg = ExperimentConfig(
-        catalog_path=str(catalog_path),
-        baseline_path=str(baseline_path),
-        ga=GAConfig(population_size=30, generations=30, elitism_count=1, rng_seed=42),
-        backend=BackendConfig(kind="simulated", sim_target_edits=2, sim_target_seed=0),
-        trials=4,
-        seeds=(101, 102, 103, 104),
-        output_dir=str(tmp_path / "out"),
-    )
+    cfg = experiment_config(tmp_path, population_size=30, generations=30, rng_seed=42, trials=4,
+                            seeds=(101, 102, 103, 104))
     results, summary = run_trials(cfg)
     assert all(r.ok for r in results)
 
@@ -122,14 +111,7 @@ def test_criterion_4_simulated_landscape_improvement(tmp_path):
     assert monotone_violations == 0
 
     # the pinned single run must strictly beat its own first generation
-    single = ExperimentConfig(
-        catalog_path=str(catalog_path),
-        baseline_path=str(baseline_path),
-        ga=GAConfig(population_size=30, generations=30, elitism_count=1, rng_seed=42),
-        backend=BackendConfig(kind="simulated", sim_target_edits=2, sim_target_seed=0),
-        trials=1,
-        output_dir=str(tmp_path / "single"),
-    )
+    single = replace(cfg, trials=1, seeds=None, output_dir=str(tmp_path / "single"))
     (single_result,), _ = run_trials(single)
     first_gen_best = next(iter(single_result.history)).best_fitness
     assert single_result.best_fitness < first_gen_best
@@ -224,7 +206,6 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
         pytest.skip(f"{opt} accepted neither new-PM nor legacy pass syntax")
 
     start = time.perf_counter()
-    from dataclasses import replace
     from importlib import resources
 
     from passevo.catalog import PassSequence

@@ -119,6 +119,7 @@ def test_sequence_round_trip(indices):
     cat = PassCatalog(tuple(f"-p{i}" for i in range(6)))
     seq = PassSequence(tuple(cat.passes[i] for i in indices))
     assert load_sequence(serialize_sequence(seq), cat).passes == seq.passes
+    assert list(seq) == [cat.passes[i] for i in indices]
 
 
 def test_load_sequence_succeeds_iff_members():

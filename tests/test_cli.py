@@ -10,37 +10,21 @@ import passevo
 from passevo.cli import main
 from passevo.catalog import serialize_catalog, serialize_sequence
 
-from conftest import (
-    evolve_with_template,
-    external_config_text,
-    make_catalog,
-    make_sequence,
-    sim_config_text,
-    write_test_inputs,
-)
-
-
-def write_sim_config(tmp_path, **kwargs):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path)
-    out_dir = tmp_path / "out"
-    text = sim_config_text(catalog_path, baseline_path, out_dir, **kwargs)
-    config = tmp_path / "experiment.ini"
-    config.write_text(text)
-    return config, out_dir
+from conftest import config_file, evolve_with_template, make_catalog, make_sequence
 
 
 # --- evolve ------------------------------------------------------------------
 
 def test_evolve_simulated_exit_zero_and_summary(tmp_path, capsys):
-    config, out_dir = write_sim_config(tmp_path)
+    config = config_file(tmp_path)
     assert main(["evolve", "--config", str(config)]) == 0
     captured = capsys.readouterr()
     assert "mean improvement" in captured.out
-    assert (out_dir / "summary.json").is_file()
+    assert (tmp_path / "out" / "summary.json").is_file()
 
 
 def test_evolve_missing_catalog_exit_two(tmp_path, capsys):
-    config, _ = write_sim_config(tmp_path)
+    config = config_file(tmp_path)
     text = config.read_text().replace(str(tmp_path / "catalog.txt"), "/missing/cat.txt")
     config.write_text(text)
     assert main(["evolve", "--config", str(config)]) == 2
@@ -53,7 +37,8 @@ def test_evolve_missing_config_exit_two(tmp_path, capsys):
 
 
 def test_evolve_flag_overrides_beat_config(tmp_path, capsys):
-    config, out_dir = write_sim_config(tmp_path, trials=3, rng_seed=42)
+    config = config_file(tmp_path, trials=3, rng_seed=42)
+    out_dir = tmp_path / "out"
     assert main(["evolve", "--config", str(config), "--trials", "1", "--seed", "7"]) == 0
     doc = json.loads((out_dir / "summary.json").read_text())
     assert len(doc["trials"]) == 1
@@ -63,7 +48,8 @@ def test_evolve_flag_overrides_beat_config(tmp_path, capsys):
     assert "rng_seed = 7" in effective
 
     # --seed or --trials supersedes the file's seeds list: seeds count up from rng_seed
-    listed, out_dir = write_sim_config(tmp_path / "listed", trials=3, seeds="5 6 8", generations=2)
+    listed = config_file(tmp_path / "listed", trials=3, seeds=(5, 6, 8), generations=2)
+    out_dir = tmp_path / "listed" / "out"
     for flags, seeds in ((["--seed", "9"], [9, 10, 11]), (["--trials", "1", "--seed", "7"], [7])):
         assert main(["evolve", "--config", str(listed), *flags]) == 0
         doc = json.loads((out_dir / "summary.json").read_text())
@@ -72,14 +58,14 @@ def test_evolve_flag_overrides_beat_config(tmp_path, capsys):
 
 
 def test_evolve_output_dir_override(tmp_path):
-    config, _ = write_sim_config(tmp_path)
+    config = config_file(tmp_path)
     other = tmp_path / "elsewhere"
     assert main(["evolve", "--config", str(config), "--output-dir", str(other)]) == 0
     assert (other / "summary.json").is_file()
 
 
 def test_empty_output_dir_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    config, _ = write_sim_config(tmp_path)
+    config = config_file(tmp_path)
     workdir = tmp_path / "cwd"
     workdir.mkdir()
     monkeypatch.chdir(workdir)
@@ -114,12 +100,10 @@ def test_unusable_output_dir_exit_two(tmp_path, capsys, out_name, entry, kind):
     else:
         blocked.symlink_to(tmp_path / "missing" / entry)
     if entry == "eval_cache.jsonl":
-        catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
-        config = tmp_path / "ext.ini"
-        config.write_text(external_config_text(tmp_path, catalog_path, baseline_path, out_dir))
+        config = config_file(tmp_path, fake_toolchain="ok")
         command = "evolve"
     else:
-        config, _ = write_sim_config(tmp_path)
+        config = config_file(tmp_path)
         command = "simulate"
     argv = [command, "--config", str(config), "--trials", "1", "--output-dir", str(out_dir)]
     assert main(argv) == 2
@@ -131,7 +115,7 @@ def test_unusable_output_dir_exit_two(tmp_path, capsys, out_name, entry, kind):
 
 
 def test_evolve_verbose_generation_lines(tmp_path, capsys):
-    config, _ = write_sim_config(tmp_path, trials=1, generations=3)
+    config = config_file(tmp_path, trials=1, generations=3)
     assert main(["evolve", "--config", str(config), "--verbose"]) == 0
     out = capsys.readouterr().out
     assert "trial 0 gen 0:" in out
@@ -141,7 +125,7 @@ def test_evolve_verbose_generation_lines(tmp_path, capsys):
 def test_closed_stdout_exits_one_without_traceback(tmp_path):
     # about 180 kB of generation lines, more than the pipe and both buffers
     # hold, so the run is still printing when the reader goes away
-    config, _ = write_sim_config(tmp_path, trials=1, population_size=4, generations=4000)
+    config = config_file(tmp_path, trials=1, population_size=4, generations=4000)
     src = str(Path(passevo.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -161,10 +145,10 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
 
 
 def test_history_csv_schema_and_rederived_monotonicity(tmp_path):
-    config, out_dir = write_sim_config(tmp_path, trials=2, generations=8)
+    config = config_file(tmp_path, trials=2, generations=8)
     assert main(["evolve", "--config", str(config)]) == 0
     for i in range(2):
-        lines = (out_dir / f"trial_{i}" / "history.csv").read_text().splitlines()
+        lines = (tmp_path / "out" / f"trial_{i}" / "history.csv").read_text().splitlines()
         assert lines[0] == "generation,best_fitness,mean_fitness"
         assert len(lines) == 1 + 8
         best_so_far = []
@@ -180,27 +164,18 @@ def test_history_csv_schema_and_rederived_monotonicity(tmp_path):
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_forces_simulated_backend(tmp_path):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path)
-    out_dir = tmp_path / "out"
-    config = tmp_path / "external.ini"
-    config.write_text(
-        external_config_text(tmp_path, catalog_path, baseline_path, out_dir, behavior="exit1")
-    )
+    config = config_file(tmp_path, fake_toolchain="exit1", inputs=(16, 10))
     # the external backend would fail at the baseline; simulate never touches it
     assert main(["simulate", "--config", str(config)]) == 0
-    effective = (out_dir / "effective_config.ini").read_text()
+    effective = (tmp_path / "out" / "effective_config.ini").read_text()
     assert "kind = simulated" in effective
 
 
 def test_simulate_one_pass_catalog_target(tmp_path):
     # random draws rarely land 6 edits from "-a -a" over a one-pass catalog
-    catalog_path, baseline_path = tmp_path / "catalog.txt", tmp_path / "baseline.txt"
-    catalog_path.write_text("-a\n")
-    baseline_path.write_text("-a\n-a\n")
-    config = tmp_path / "experiment.ini"
-    config.write_text(
-        sim_config_text(catalog_path, baseline_path, tmp_path / "out", trials=1, sim_target_edits=6)
-    )
+    config = config_file(tmp_path, trials=1, sim_target_edits=6)
+    (tmp_path / "catalog.txt").write_text("-a\n")
+    (tmp_path / "baseline.txt").write_text("-a\n-a\n")
     assert main(["simulate", "--config", str(config)]) == 0
 
 
@@ -263,17 +238,13 @@ def test_apply_unknown_pass_exit_two(tmp_path, capsys):
 # --- baseline ----------------------------------------------------------------
 
 def test_baseline_simulated_prints_base_runtime(tmp_path, capsys):
-    config, _ = write_sim_config(tmp_path, sim_target_edits=0, sim_base_runtime=1.5)
+    config = config_file(tmp_path, sim_target_edits=0, sim_base_runtime=1.5)
     assert main(["baseline", "--config", str(config)]) == 0
     assert "1.500000" in capsys.readouterr().out
 
 
 def test_baseline_external_fake_toolchain(tmp_path, capsys):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
-    config = tmp_path / "ext.ini"
-    config.write_text(
-        external_config_text(tmp_path, catalog_path, baseline_path, tmp_path / "out")
-    )
+    config = config_file(tmp_path, fake_toolchain="ok")
     assert main(["baseline", "--config", str(config)]) == 0
     out = capsys.readouterr().out
     assert "baseline mean runtime" in out
@@ -281,28 +252,16 @@ def test_baseline_external_fake_toolchain(tmp_path, capsys):
 
 
 def test_baseline_timeout_exit_one(tmp_path, capsys):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
-    config = tmp_path / "spin.ini"
-    config.write_text(
-        external_config_text(
-            tmp_path, catalog_path, baseline_path, tmp_path / "out",
-            behavior="spin", run_timeout=0.5,
-        )
-    )
+    config = config_file(tmp_path, fake_toolchain="spin", run_timeout=0.5)
     assert main(["baseline", "--config", str(config)]) == 1
     assert "timeout" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["evolve", "baseline"])
 def test_unusable_workdir_exit_two(tmp_path, capsys, command):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
     (tmp_path / "blocker").write_text("not a directory\n")
     workdir = tmp_path / "blocker" / "sub"
-    config = tmp_path / "ext.ini"
-    config.write_text(
-        external_config_text(tmp_path, catalog_path, baseline_path, tmp_path / "out")
-        + f"workdir = {workdir}\n"
-    )
+    config = config_file(tmp_path, fake_toolchain="ok", workdir=str(workdir))
     assert main([command, "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create a build directory")
@@ -312,14 +271,11 @@ def test_unusable_workdir_exit_two(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["evolve", "baseline"])
 @pytest.mark.parametrize("key", ["compiler_front_command", "optimizer_command", "linker_command"])
 def test_unbalanced_quote_in_a_template_exits_two_before_any_output(tmp_path, capsys, key, command):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
-    out_dir = tmp_path / "out"
-    text = external_config_text(tmp_path, catalog_path, baseline_path, out_dir)
-    config = tmp_path / "ext.ini"
-    config.write_text(text.replace(f"{key} = ", f"{key} = 'unclosed ", 1))
+    config = config_file(tmp_path, fake_toolchain="ok")
+    config.write_text(config.read_text().replace(f"{key} = ", f"{key} = 'unclosed ", 1))
     assert main([command, "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {key}: No closing quotation\n"
-    assert not out_dir.exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["optimizer_command", "linker_command"])
@@ -349,17 +305,12 @@ def test_all_trials_failed_exit_one(tmp_path, capsys):
     # the fake optimizer rejects '-broken' and the baseline is empty, so a
     # candidate builds only if its deletes undo all its inserts; no 8-gene
     # genome that seeds 1 and 2 draw does
-    catalog_path, baseline_path = tmp_path / "catalog.txt", tmp_path / "baseline.txt"
-    catalog_path.write_text("-broken\n")
-    baseline_path.write_text("")
-    out_dir = tmp_path / "out"
-    text = external_config_text(
-        tmp_path, catalog_path, baseline_path, out_dir,
-        runs_per_eval=1, trials=2, generations=1, population_size=1,
+    config = config_file(
+        tmp_path, fake_toolchain="ok", runs_per_eval=1, trials=2, generations=1, population_size=1,
+        elitism_count=0, init_genome_len_min=8, init_genome_len_max=8,
     )
-    config = tmp_path / "fail.ini"
-    ga_extra = "elitism_count = 0\ninit_genome_len_min = 8\ninit_genome_len_max = 8\n"
-    config.write_text(text.replace("\n[ga]\n", "\n[ga]\n" + ga_extra))
+    (tmp_path / "catalog.txt").write_text("-broken\n")
+    (tmp_path / "baseline.txt").write_text("")
     assert main(["evolve", "--config", str(config)]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
@@ -367,7 +318,7 @@ def test_all_trials_failed_exit_one(tmp_path, capsys):
         "trial 1 (seed 2): FAILED: no candidate produced a finite fitness",
     ]
     assert captured.err == "warning: 2 of 2 trials failed\nall trials failed\n"
-    doc = json.loads((out_dir / "summary.json").read_text())
+    doc = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert doc["summary"] is None
     assert [t["status"] for t in doc["trials"]] == ["failed", "failed"]
 
@@ -389,10 +340,10 @@ def test_stats_eight_reported_values(tmp_path, capsys):
 
 
 def test_stats_on_summary_json(tmp_path, capsys):
-    config, out_dir = write_sim_config(tmp_path, trials=3)
+    config = config_file(tmp_path, trials=3)
     assert main(["evolve", "--config", str(config)]) == 0
     capsys.readouterr()
-    assert main(["stats", str(out_dir / "summary.json")]) == 0
+    assert main(["stats", str(tmp_path / "out" / "summary.json")]) == 0
     assert "n = 3" in capsys.readouterr().out
 
 

@@ -9,7 +9,7 @@ from passevo.cli import main
 from passevo.config import load_config, parse_config_text, write_config
 from passevo.errors import ValidationError
 
-from conftest import evolve_with_template, fake_backend, write_test_inputs
+from conftest import config_file, evolve_with_template, fake_backend, write_test_inputs
 
 
 MINIMAL = """\
@@ -204,6 +204,8 @@ def _no_pidfd_open(*_):
 @pytest.mark.parametrize("platform", ["no os.pidfd_open", "a kernel without the call"])
 def test_external_kind_requires_pidfd_open(tmp_path, capsys, monkeypatch, platform):
     backend = fake_backend(tmp_path)
+    # written while the host still has the call; the same file then exits 2
+    config = config_file(tmp_path, fake_toolchain="ok")
     if platform == "no os.pidfd_open":
         monkeypatch.delattr(os, "pidfd_open", raising=False)
     else:
@@ -211,7 +213,7 @@ def test_external_kind_requires_pidfd_open(tmp_path, capsys, monkeypatch, platfo
     # a config built in code gets the same check, with the text a config file exits 2 with
     with pytest.raises(ValueError, match="^kind = external_compiler needs os.pidfd_open, Linux 5.3 or later: ") as err:
         dataclasses.replace(backend)
-    unchanged = evolve_with_template(tmp_path, capsys, "source_path", lambda path: path)
+    unchanged = main(["evolve", "--config", str(config)]), capsys.readouterr().err, (tmp_path / "out").exists()
     assert unchanged == (2, f"error: {err.value}\n", False)
     assert parse_config_text(MINIMAL).backend.kind == "simulated"
     # `passevo simulate` overrides the kind before the BackendConfig is built

@@ -5,11 +5,10 @@ from dataclasses import replace
 import pytest
 
 import passevo.experiment as experiment_mod
-from passevo.catalog import PassSequence, serialize_catalog, serialize_sequence
+from passevo.catalog import PassSequence
 from passevo.errors import ExecutionError, ValidationError
 from passevo.evolution import GAConfig, GenerationRecord
 from passevo.experiment import (
-    ExperimentConfig,
     build_record_fn,
     build_records_fn,
     measure_baseline,
@@ -19,25 +18,11 @@ from passevo.experiment import (
 from passevo.fitness import PENALTY, BackendConfig, perturb_sequence, sequence_digest
 from passevo.patches import Individual
 
-from conftest import fake_backend, make_catalog, make_sequence, write_test_inputs
-
-
-def sim_experiment(tmp_path, trials=2, seeds=None, generations=6, population=12, **backend_kw):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path)
-    backend = BackendConfig(kind="simulated", sim_target_edits=2, sim_target_seed=0, **backend_kw)
-    return ExperimentConfig(
-        catalog_path=str(catalog_path),
-        baseline_path=str(baseline_path),
-        ga=GAConfig(population_size=population, generations=generations, rng_seed=100),
-        backend=backend,
-        trials=trials,
-        output_dir=str(tmp_path / "out"),
-        seeds=seeds,
-    )
+from conftest import experiment_config, fake_backend, make_catalog, make_sequence, write_test_inputs
 
 
 def test_run_trials_structure_and_artifacts(tmp_path):
-    cfg = sim_experiment(tmp_path, trials=2, seeds=(1, 2))
+    cfg = experiment_config(tmp_path, trials=2, seeds=(1, 2), rng_seed=100)
     results, summary = run_trials(cfg)
     assert len(results) == 2
     for r in results:
@@ -62,8 +47,8 @@ def test_run_trials_structure_and_artifacts(tmp_path):
 
 
 def test_run_trials_deterministic_bytes(tmp_path):
-    cfg_a = sim_experiment(tmp_path / "a", trials=2, seeds=(5, 6))
-    cfg_b = sim_experiment(tmp_path / "b", trials=2, seeds=(5, 6))
+    cfg_a = experiment_config(tmp_path / "a", trials=2, seeds=(5, 6), rng_seed=100)
+    cfg_b = experiment_config(tmp_path / "b", trials=2, seeds=(5, 6), rng_seed=100)
     run_trials(cfg_a)
     run_trials(cfg_b)
     for name in ("summary.json", "trial_0/history.csv", "trial_1/history.csv",
@@ -74,19 +59,19 @@ def test_run_trials_deterministic_bytes(tmp_path):
 
 
 def test_trial_seeds_derived_from_base_seed(tmp_path):
-    cfg = sim_experiment(tmp_path, trials=3)
+    cfg = experiment_config(tmp_path, trials=3, rng_seed=100)
     assert [cfg.trial_seed(i) for i in range(3)] == [100, 101, 102]
-    explicit = sim_experiment(tmp_path / "e", trials=3, seeds=(7, 8, 9))
+    explicit = experiment_config(tmp_path / "e", trials=3, seeds=(7, 8, 9), rng_seed=100)
     assert [explicit.trial_seed(i) for i in range(3)] == [7, 8, 9]
 
 
 def test_seed_list_length_must_match_trials(tmp_path):
     with pytest.raises(ValueError):
-        sim_experiment(tmp_path, trials=3, seeds=(1, 2))
+        experiment_config(tmp_path, trials=3, seeds=(1, 2), rng_seed=100)
 
 
 def test_history_best_column_monotone_with_elitism(tmp_path):
-    cfg = sim_experiment(tmp_path, trials=2, seeds=(3, 4), generations=10)
+    cfg = experiment_config(tmp_path, trials=2, seeds=(3, 4), generations=10, rng_seed=100)
     results, _ = run_trials(cfg)
     for r in results:
         best = [rec.best_fitness for rec in r.history]
@@ -95,14 +80,7 @@ def test_history_best_column_monotone_with_elitism(tmp_path):
 
 
 def test_measure_baseline_simulated_zero_distance(tmp_path):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path)
-    cfg = ExperimentConfig(
-        catalog_path=str(catalog_path),
-        baseline_path=str(baseline_path),
-        backend=BackendConfig(kind="simulated", sim_target_edits=0, sim_base_runtime=1.5),
-        trials=1,
-        output_dir=str(tmp_path / "out"),
-    )
+    cfg = replace(experiment_config(tmp_path, trials=1, sim_target_edits=0, sim_base_runtime=1.5), ga=GAConfig())
     record = measure_baseline(cfg)
     assert record.mean == 1.5
 
@@ -110,15 +88,7 @@ def test_measure_baseline_simulated_zero_distance(tmp_path):
 def test_measure_baseline_one_edit_quarter_penalty(tmp_path):
     catalog = make_catalog(8)
     baseline = make_sequence(catalog, [0, 1, 2])
-    (tmp_path / "catalog.txt").write_text(serialize_catalog(catalog))
-    (tmp_path / "baseline.txt").write_text(serialize_sequence(baseline))
-    cfg = ExperimentConfig(
-        catalog_path=str(tmp_path / "catalog.txt"),
-        baseline_path=str(tmp_path / "baseline.txt"),
-        backend=BackendConfig(kind="simulated", sim_base_runtime=1.0, sim_target_edits=1),
-        trials=1,
-        output_dir=str(tmp_path / "out"),
-    )
+    cfg = replace(experiment_config(tmp_path, inputs=(8, 3), trials=1, sim_target_edits=1), ga=GAConfig())
     # the baseline is one edit from the target; each edit adds 1/len(target) of the base runtime
     target = perturb_sequence(baseline, catalog, 1, random.Random(0))
     record = measure_baseline(cfg)
@@ -126,15 +96,8 @@ def test_measure_baseline_one_edit_quarter_penalty(tmp_path):
 
 
 def test_measure_baseline_broken_external_is_fatal(tmp_path):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path)
-    backend = fake_backend(tmp_path, behavior="exit1")
-    cfg = ExperimentConfig(
-        catalog_path=str(catalog_path),
-        baseline_path=str(baseline_path),
-        backend=backend,
-        trials=1,
-        output_dir=str(tmp_path / "out"),
-    )
+    cfg = experiment_config(tmp_path, fake_toolchain="exit1", inputs=(16, 10), compile_timeout=30.0)
+    cfg = replace(cfg, ga=GAConfig())
     broken = (
         r"^baseline evaluation failed \(run_error\): run failed \(exit 1\):\n"
         r"passes: -p0 -p1 -p2 -p3 -p4 -p5 -p6 -p7 -p8 -p9\ndeliberate failure\n$"
@@ -146,7 +109,7 @@ def test_measure_baseline_broken_external_is_fatal(tmp_path):
 
 
 def test_failed_trial_recorded_and_summary_adjusted(tmp_path, monkeypatch):
-    cfg = sim_experiment(tmp_path, trials=3, seeds=(1, 2, 3))
+    cfg = experiment_config(tmp_path, trials=3, seeds=(1, 2, 3), rng_seed=100)
     real_evolve = experiment_mod.evolve
     calls = {"n": 0}
 
@@ -178,7 +141,7 @@ def test_failed_trial_recorded_and_summary_adjusted(tmp_path, monkeypatch):
 
 
 def test_fewer_trials_remove_the_earlier_runs_trial_directories(tmp_path):
-    cfg = sim_experiment(tmp_path, trials=3, seeds=(1, 2, 3))
+    cfg = experiment_config(tmp_path, trials=3, seeds=(1, 2, 3), rng_seed=100)
     run_trials(cfg)
     out = tmp_path / "out"
     (out / "trial_notes").mkdir()
@@ -189,7 +152,7 @@ def test_fewer_trials_remove_the_earlier_runs_trial_directories(tmp_path):
 
 
 def test_failed_trial_removes_the_earlier_runs_directory(tmp_path, monkeypatch):
-    cfg = sim_experiment(tmp_path, trials=2, seeds=(1, 2))
+    cfg = experiment_config(tmp_path, trials=2, seeds=(1, 2), rng_seed=100)
     run_trials(cfg)
     assert (tmp_path / "out" / "trial_1").is_dir()
     hopeless = [GenerationRecord(0, PENALTY, PENALTY, Individual())]
@@ -204,7 +167,7 @@ def test_failed_trial_removes_the_earlier_runs_directory(tmp_path, monkeypatch):
 
 
 def test_single_trial_summary_has_no_t_test(tmp_path):
-    cfg = sim_experiment(tmp_path, trials=1)
+    cfg = experiment_config(tmp_path, trials=1, rng_seed=100)
     results, summary = run_trials(cfg)
     assert results[0].ok
     assert summary is not None
@@ -217,7 +180,7 @@ def test_single_trial_summary_has_no_t_test(tmp_path):
 
 def test_flat_improvements_write_the_exact_mean(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment_mod, "percent_improvement", lambda baseline, best: 3.7)
-    run_trials(sim_experiment(tmp_path, trials=3))
+    run_trials(experiment_config(tmp_path, trials=3, rng_seed=100))
     doc = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert doc["summary"] == {
         "n": 3,
@@ -240,16 +203,7 @@ def test_missing_catalog_file_is_config_error():
 
 
 def test_external_backend_uses_persistent_cache(tmp_path):
-    catalog_path, baseline_path, catalog, baseline = write_test_inputs(tmp_path, 6, 3)
-    backend = fake_backend(tmp_path, behavior="ok", runs_per_eval=1)
-    cfg = ExperimentConfig(
-        catalog_path=str(catalog_path),
-        baseline_path=str(baseline_path),
-        ga=GAConfig(population_size=4, generations=2, rng_seed=9),
-        backend=backend,
-        trials=1,
-        output_dir=str(tmp_path / "out"),
-    )
+    cfg = experiment_config(tmp_path, fake_toolchain="ok", rng_seed=9, runs_per_eval=1, compile_timeout=30.0)
     results, _ = run_trials(cfg)
     assert results[0].ok
     cache_file = tmp_path / "out" / "eval_cache.jsonl"
@@ -311,21 +265,14 @@ def test_external_records_fn_keeps_request_order(tmp_path):
     assert rows == [sequence_digest(s) for s in (seqs[0], seqs[1], seqs[3])]
 
 
-def test_rerun_in_the_same_output_dir_starts_no_process(tmp_path, tool_calls):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
-    cfg = ExperimentConfig(
-        catalog_path=str(catalog_path),
-        baseline_path=str(baseline_path),
-        ga=GAConfig(population_size=6, generations=3, rng_seed=5),
-        backend=fake_backend(tmp_path, runs_per_eval=2),
-        trials=2,
-        output_dir=str(tmp_path / "out"),
-    )
+def test_rerun_in_the_same_output_dir_starts_no_process(tmp_path, processes):
+    cfg = experiment_config(
+        tmp_path, fake_toolchain="ok", trials=2, population_size=6, generations=3, rng_seed=5, compile_timeout=30.0)
     run_trials(cfg)
-    assert tool_calls
+    assert processes.calls
     summary = (tmp_path / "out" / "summary.json").read_bytes()
-    tool_calls.clear()
+    processes.calls.clear()
     # the resumed run answers every candidate and the baseline from eval_cache.jsonl
     run_trials(cfg)
-    assert tool_calls == []
+    assert processes.calls == []
     assert (tmp_path / "out" / "summary.json").read_bytes() == summary

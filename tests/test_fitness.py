@@ -41,13 +41,12 @@ from passevo.fitness import (
 )
 
 from conftest import (
-    FAKE_TOOL,
+    FAKE_TEMPLATES,
     assert_trusted_is_public,
+    config_file,
     evolve_with_template,
-    external_config_text,
     fake_backend,
     make_catalog,
-    write_test_inputs,
 )
 
 
@@ -672,17 +671,10 @@ def test_evaluate_timeout(tmp_path):
     assert time.perf_counter() - start < 5.0
 
 
-def test_evaluate_fixed_samples_arithmetic(tmp_path, monkeypatch):
+def test_evaluate_fixed_samples_arithmetic(tmp_path, processes):
     # pin run-stage durations to {1, 2, 3} s: mean 2.0, sample stddev 1.0
     durations = iter([1.0, 2.0, 3.0])
-    real = fitness_mod.time_execution
-
-    def fake_time(argv, timeout):
-        if argv[0].endswith("program.bin"):
-            return RunResult(next(durations), 0, False, "")
-        return real(argv, timeout)
-
-    monkeypatch.setattr(fitness_mod, "time_execution", fake_time)
+    processes.replies["run"] = lambda argv, real: RunResult(next(durations), 0, False, "")
     cfg = fake_backend(tmp_path, runs_per_eval=3)
     record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
     assert record.status is EvaluationStatus.OK
@@ -691,49 +683,25 @@ def test_evaluate_fixed_samples_arithmetic(tmp_path, monkeypatch):
     assert record.sample_stddev == pytest.approx(1.0, abs=1e-12)
 
 
-def test_evaluate_cache_hit_skips_toolchain(tmp_path, monkeypatch):
-    calls = 0
-    real = fitness_mod.time_execution
-
-    def counting(argv, timeout):
-        nonlocal calls
-        calls += 1
-        return real(argv, timeout)
-
-    monkeypatch.setattr(fitness_mod, "time_execution", counting)
+def test_evaluate_cache_hit_skips_toolchain(tmp_path, processes):
     cfg = fake_backend(tmp_path, runs_per_eval=2)
     cache = EvaluationCache()
     seq = PassSequence(("-sroa", "-gvn"))
     first = evaluate(seq, cfg, cache)
-    after_first = calls
+    after_first = len(processes.calls)
     second = evaluate(seq, cfg, cache)
     assert second is first
-    assert calls == after_first
+    assert len(processes.calls) == after_first
 
 
-@pytest.fixture
-def program_runs(monkeypatch):
-    """Record every timed run of a built program (not the build stages)."""
-    runs = []
-    real = fitness_mod.time_execution
-
-    def counting(argv, timeout):
-        if argv[0].endswith("program.bin"):
-            runs.append(argv[0])
-        return real(argv, timeout)
-
-    monkeypatch.setattr(fitness_mod, "time_execution", counting)
-    return runs
-
-
-def test_identical_executable_is_timed_once(tmp_path, program_runs):
+def test_identical_executable_is_timed_once(tmp_path, processes):
     # the fake optimizer drops -noop, so both sequences link the same bytes
     cfg = fake_backend(tmp_path, runs_per_eval=3)
     cache = EvaluationCache()
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)
-    assert len(program_runs) == 3
+    assert processes.stages.count("run") == 3
     second = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
-    assert len(program_runs) == 3
+    assert processes.stages.count("run") == 3
     assert second.sequence_digest == sequence_digest(PassSequence(("-sroa", "-noop")))
     assert second.sequence_digest != first.sequence_digest
     assert (second.samples, second.mean, second.sample_stddev, second.status) == (
@@ -743,7 +711,7 @@ def test_identical_executable_is_timed_once(tmp_path, program_runs):
     assert cache.get(second.sequence_digest) is second
 
 
-def test_executable_index_persists_and_reloads(tmp_path, program_runs):
+def test_executable_index_persists_and_reloads(tmp_path, processes):
     cfg = fake_backend(tmp_path, runs_per_eval=2)
     path = tmp_path / "eval_cache.jsonl"
     cache = EvaluationCache(path)
@@ -752,10 +720,10 @@ def test_executable_index_persists_and_reloads(tmp_path, program_runs):
     rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
     assert len(rows) == 2
     assert rows[0]["exe"] == rows[1]["exe"]
-    assert len(program_runs) == 2
+    assert processes.stages.count("run") == 2
 
     third = evaluate(PassSequence(("-noop", "-sroa", "-noop")), cfg, EvaluationCache(path))
-    assert len(program_runs) == 2
+    assert processes.stages.count("run") == 2
     assert third.status is EvaluationStatus.OK
     assert third.mean == first.mean
     assert third.samples == ()  # copied from a reloaded record
@@ -789,21 +757,21 @@ def test_fresh_linked_evaluation_hashes_each_artifact_once(tmp_path, monkeypatch
     assert hashed[0] == b"-sroa" and hashed[2].startswith(b"#!")
 
 
-def test_different_executable_is_timed(tmp_path, program_runs):
+def test_different_executable_is_timed(tmp_path, processes):
     cfg = fake_backend(tmp_path, runs_per_eval=2)
     cache = EvaluationCache()
     evaluate(PassSequence(("-sroa",)), cfg, cache)
     record = evaluate(PassSequence(("-sroa", "-gvn")), cfg, cache)
-    assert len(program_runs) == 4
+    assert processes.stages.count("run") == 4
     assert len(record.samples) == 2
 
 
-def test_failed_runs_are_shared_by_identical_executables(tmp_path, program_runs):
+def test_failed_runs_are_shared_by_identical_executables(tmp_path, processes):
     cfg = fake_backend(tmp_path, behavior="exit1", runs_per_eval=2)
     cache = EvaluationCache()
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)
     second = evaluate(PassSequence(("-noop", "-sroa")), cfg, cache)
-    assert len(program_runs) == 1
+    assert processes.stages.count("run") == 1
     assert first.status is second.status is EvaluationStatus.RUN_ERROR
     assert second.diagnostics == first.diagnostics
 
@@ -825,22 +793,8 @@ def test_tool_spawn_failure_is_not_cached(tmp_path):
     assert len(path.read_text("utf-8").splitlines()) == 1
 
 
-def test_program_spawn_failure_is_not_cached(tmp_path, monkeypatch):
-    real = fitness_mod.time_execution
-    stages, outputs = [], []
-    startable = [False]
-
-    def unstartable(argv, timeout):
-        is_run = argv[0].endswith("program.bin")
-        stages.append("run" if is_run else argv[2])
-        if is_run and not startable[0]:
-            return RunResult(0.0, None, False, "spawn failed: [Errno 8] Exec format error")
-        result = real(argv, timeout)
-        if is_run:
-            outputs.append(result.output)
-        return result
-
-    monkeypatch.setattr(fitness_mod, "time_execution", unstartable)
+def test_program_spawn_failure_is_not_cached(tmp_path, processes):
+    processes.replies["run"] = RunResult(0.0, None, False, "spawn failed: [Errno 8] Exec format error")
     cfg = fake_backend(tmp_path)
     cache = EvaluationCache()
     record = evaluate(PassSequence(("-sroa",)), cfg, cache)
@@ -850,11 +804,18 @@ def test_program_spawn_failure_is_not_cached(tmp_path, monkeypatch):
 
     # no executable was indexed either: a byte-identical build is timed; its
     # IR was linked before, so it skips the linker and runs the restored file
-    startable[0] = True
+    outputs = []
+
+    def startable(argv, real):
+        result = real()
+        outputs.append(result.output)
+        return result
+
+    processes.replies["run"] = startable
     record = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
     assert record.status is EvaluationStatus.OK
     assert len(record.samples) == cfg.runs_per_eval
-    assert stages == ["front", "opt", "link", "run", "front", "opt", "run", "run"]
+    assert processes.stages == ["front", "opt", "link", "run", "front", "opt", "run", "run"]
     assert outputs == ["passes: -sroa\n"] * cfg.runs_per_eval
 
 
@@ -868,20 +829,9 @@ _OUTCOMES = {
 
 @pytest.mark.parametrize("outcome", sorted(_OUTCOMES))
 @pytest.mark.parametrize("stage", sorted(_STAGE_NAMES))
-def test_failure_triage_table(tmp_path, monkeypatch, stage, outcome):
+def test_failure_triage_table(tmp_path, processes, stage, outcome):
     """Every stage x outcome: the exact status, diagnostics and caching."""
-    real = fitness_mod.time_execution
-    runs = []
-
-    def inject(argv, timeout):
-        is_run = argv[0].endswith("program.bin")
-        if is_run:
-            runs.append(argv[0])
-        if ("run" if is_run else argv[2]) == stage:
-            return _OUTCOMES[outcome]
-        return real(argv, timeout)
-
-    monkeypatch.setattr(fitness_mod, "time_execution", inject)
+    processes.replies[stage] = _OUTCOMES[outcome]
     cfg = fake_backend(tmp_path, runs_per_eval=3)
     cache = EvaluationCache()
     record = evaluate(PassSequence(("-sroa",)), cfg, cache)
@@ -901,13 +851,13 @@ def test_failure_triage_table(tmp_path, monkeypatch, stage, outcome):
     assert (record.status, record.diagnostics) == expected
     assert (record.runs, record.samples, record.fitness) == (3, (), PENALTY)
     assert len(cache) == (0 if outcome == "spawn" else 1)
-    assert len(runs) == (1 if stage == "run" else 0)
+    assert processes.stages.count("run") == (1 if stage == "run" else 0)
 
     if stage == "run":
         # a byte-identical twin reuses the failed timing, unless nothing started
         twin = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
         assert (twin.status, twin.diagnostics) == expected
-        assert len(runs) == (2 if outcome == "spawn" else 1)
+        assert processes.stages.count("run") == (2 if outcome == "spawn" else 1)
         assert len(cache) == (0 if outcome == "spawn" else 2)
 
 
@@ -942,23 +892,18 @@ def test_ir_digest_ignores_only_the_leading_module_id():
     assert ir_digest(b'source_filename = "/tmp/a.ir"\n' + code) != ir_digest(b'source_filename = "/tmp/b.ir"\n' + code)
 
 
-def _fake_stages(calls) -> list[str]:
-    """Each recorded fake-toolchain call as front, opt, link or run."""
-    return ["run" if argv[0].endswith("program.bin") else argv[2] for argv in calls]
-
-
-def test_identical_ir_is_linked_once(tmp_path, tool_calls):
+def test_identical_ir_is_linked_once(tmp_path, processes):
     cfg = fake_backend(tmp_path, runs_per_eval=2)
     cache = EvaluationCache()
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)
     second = evaluate(PassSequence(("-noop", "-sroa")), cfg, cache)
-    assert _fake_stages(tool_calls) == ["front", "opt", "link", "run", "run", "front", "opt"]
+    assert processes.stages == ["front", "opt", "link", "run", "run", "front", "opt"]
     assert (second.status, second.mean) == (EvaluationStatus.OK, first.mean)
 
     # another IR links, and so does every build with a fresh cache
     evaluate(PassSequence(("-sroa", "-gvn")), cfg, cache)
     evaluate(PassSequence(("-noop", "-sroa")), cfg, EvaluationCache())
-    assert _fake_stages(tool_calls).count("link") == 3
+    assert processes.stages.count("link") == 3
 
 
 @pytest.mark.parametrize("placeholder", ["{passes}", "--with={passes_csv}"])
@@ -968,7 +913,7 @@ def test_only_the_optimizer_takes_the_candidate(tmp_path, capsys, key, placehold
     not decide the executable; it is refused at load, before anything is written."""
     name = placeholder[placeholder.index("{"):]
     with pytest.raises(ValueError, match=f"^{key} cannot take {re.escape(name)};"):
-        fake_backend(tmp_path, **{key: f"{getattr(fake_backend(tmp_path), key)} {placeholder}"})
+        fake_backend(tmp_path, **{key: f"{FAKE_TEMPLATES[key]} {placeholder}"})
     code, err, wrote = evolve_with_template(tmp_path, capsys, key, lambda template: f"{template} {placeholder}")
     assert (code, wrote) == (2, False)
     assert err.startswith(f"error: {key} cannot take {name};")
@@ -988,7 +933,7 @@ _MISSING = {
 def test_a_stage_without_what_it_must_take_exits_two(tmp_path, capsys, missing):
     key, edit, names = _MISSING[missing]
     with pytest.raises(ValueError, match=f"^{key} must take {re.escape(names)}$"):
-        fake_backend(tmp_path, **{key: edit(getattr(fake_backend(tmp_path), key))})
+        fake_backend(tmp_path, **{key: edit(FAKE_TEMPLATES[key])})
     code, err, wrote = evolve_with_template(tmp_path, capsys, key, edit)
     assert (code, wrote) == (2, False)
     assert err == f"error: {key} must take {names}\n"
@@ -998,46 +943,41 @@ def test_front_end_and_optimizer_input_are_not_required(tmp_path):
     """A no-op front end beside an optimizer that reads a fixed file builds; a simulated config needs no template."""
     fixed = tmp_path / "fixed.ir"
     fixed.write_text("ok\n")
-    cfg = fake_backend(tmp_path, compiler_front_command="true",
-                       optimizer_command=f"{sys.executable} {FAKE_TOOL} opt {fixed} {{output}} {{passes}}")
+    optimizer = FAKE_TEMPLATES["optimizer_command"].replace("{ir}", str(fixed))
+    cfg = fake_backend(tmp_path, compiler_front_command="true", optimizer_command=optimizer)
     record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
     assert record.status is EvaluationStatus.OK, record.diagnostics
     assert fitness_mod.BackendConfig(optimizer_command="opt {ir}").kind == "simulated"
 
 
 @pytest.mark.parametrize("outcome", sorted(_OUTCOMES))
-def test_failed_link_is_never_stored(tmp_path, monkeypatch, outcome):
+def test_failed_link_is_never_stored(tmp_path, processes, outcome):
     """A link that fails, even after writing its output, is run again for the same IR."""
-    real = fitness_mod.time_execution
-    links = []
 
-    def inject(argv, timeout):
-        result = real(argv, timeout)
-        if not argv[0].endswith("program.bin") and argv[2] == "link":
-            links.append(argv)
-            return _OUTCOMES[outcome]
-        return result
+    def link_then_fail(argv, real):
+        real()  # the linker writes the executable
+        return _OUTCOMES[outcome]
 
-    monkeypatch.setattr(fitness_mod, "time_execution", inject)
+    processes.replies["link"] = link_then_fail
     cfg = fake_backend(tmp_path)
     cache = EvaluationCache()
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)
     twin = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
-    assert len(links) == 2
+    assert processes.stages.count("link") == 2
     assert first.status is twin.status is (
         EvaluationStatus.TIMEOUT if outcome == "timeout" else EvaluationStatus.COMPILE_ERROR)
     assert first.diagnostics == twin.diagnostics
     assert first.diagnostics.startswith("linker ")
 
 
-def test_optimizer_that_writes_no_ir_is_a_compile_error(tmp_path, tool_calls):
+def test_optimizer_that_writes_no_ir_is_a_compile_error(tmp_path, processes):
     cfg = fake_backend(tmp_path, optimizer_command=f"{sys.executable} -c pass {{output}} {{passes}}")
     cache = EvaluationCache()
     record = evaluate(PassSequence(("-sroa",)), cfg, cache)
     assert record.status is EvaluationStatus.COMPILE_ERROR
     assert record.diagnostics == "optimizer exited 0 but wrote no program.opt.ir"
     assert cache.get(record.sequence_digest) == record
-    assert len(tool_calls) == 2 and "link" not in _fake_stages(tool_calls)
+    assert len(processes.calls) == 2 and "link" not in processes.stages
 
 
 def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path):
@@ -1227,7 +1167,7 @@ def test_cache_loads_null_statistics_and_a_missing_or_null_exe(tmp_path):
 
 
 def test_corrupt_cache_row_exits_two(tmp_path, capsys):
-    catalog_path, baseline_path, _, _ = write_test_inputs(tmp_path, 6, 3)
+    config = config_file(tmp_path, fake_toolchain="ok")
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     (out_dir / "eval_cache.jsonl").write_text(
@@ -1236,8 +1176,6 @@ def test_corrupt_cache_row_exits_two(tmp_path, capsys):
     # the rejected resume keeps the previous run's provenance
     provenance = b"[experiment]\ntrials = 3\n"
     (out_dir / "effective_config.ini").write_bytes(provenance)
-    config = tmp_path / "ext.ini"
-    config.write_text(external_config_text(tmp_path, catalog_path, baseline_path, out_dir))
     assert main(["evolve", "--config", str(config)]) == 2
     assert "eval_cache.jsonl: line 1 " in capsys.readouterr().err
     assert (out_dir / "effective_config.ini").read_bytes() == provenance
@@ -1277,16 +1215,16 @@ def test_time_execution_on_real_compiled_binary(tmp_path):
 
 # --- real LLVM 14 toolchain without clang -------------------------------------
 
-def test_llvm14_identical_binaries_timed_once(tmp_path, tool_calls):
-    _llvm14_builds_link_once(tmp_path, tool_calls, 'source_filename = "main.ll"\n\n')
+def test_llvm14_identical_binaries_timed_once(tmp_path, processes):
+    _llvm14_builds_link_once(tmp_path, processes, 'source_filename = "main.ll"\n\n')
 
 
-def test_llvm14_ir_without_source_filename_links_once(tmp_path, tool_calls):
+def test_llvm14_ir_without_source_filename_links_once(tmp_path, processes):
     """opt then names each build's own input path in source_filename, which the IR key leaves out."""
-    _llvm14_builds_link_once(tmp_path, tool_calls, "")
+    _llvm14_builds_link_once(tmp_path, processes, "")
 
 
-def _llvm14_builds_link_once(tmp_path, tool_calls, header: str) -> None:
+def _llvm14_builds_link_once(tmp_path, processes, header: str) -> None:
     import shutil
 
     if not all(shutil.which(tool) for tool in ("opt", "llc", "gcc")):
@@ -1304,8 +1242,7 @@ def _llvm14_builds_link_once(tmp_path, tool_calls, header: str) -> None:
     )
 
     def links_and_runs():
-        return (sum(argv[0] == "sh" for argv in tool_calls),
-                sum(argv[0].endswith("program.bin") for argv in tool_calls))
+        return sum(argv[0] == "sh" for _, argv in processes.calls), processes.stages.count("run")
 
     cache = EvaluationCache()
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)

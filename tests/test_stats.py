@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
+import passevo.stats as stats_mod
 from passevo.errors import ExecutionError, ValidationError
 from passevo.stats import (
     betainc_regularized,
@@ -111,6 +112,12 @@ def test_t_tail_is_pinned_bit_for_bit():
 def test_betainc_rejects_arguments_outside_its_domain(a, b, x, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         betainc_regularized(a, b, x)
+
+
+def test_betainc_raises_when_the_continued_fraction_does_not_converge(monkeypatch):
+    monkeypatch.setattr(stats_mod, "_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match="^incomplete beta continued fraction did not converge$"):
+        betainc_regularized(2.0, 3.0, 0.3)
 
 
 def test_student_t_sf_rejects_df_below_one():

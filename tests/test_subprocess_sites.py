@@ -6,12 +6,17 @@ alike, so no build stage or timed run leaves a process behind, except one
 that left the group (a daemon). Any other use of subprocess, os.system,
 os.popen, os.exec*, os.spawn* or os.posix_spawn* would start one outside
 that rule.
+
+The tests see those processes through one seam: only conftest's `processes`
+fixture replaces fitness.time_execution, so each stage's stand-in is
+stated once.
 """
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "passevo").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "passevo").glob("*.py"))
 OS_STARTERS = ("system", "popen", "exec", "spawn", "posix_spawn", "fork")
 
 
@@ -30,14 +35,23 @@ def _starters(node: ast.AST) -> list[str]:
             if module == "subprocess" or (module == "os" and name.startswith(OS_STARTERS))]
 
 
-def _sites(path: Path) -> list[tuple[str, str | None, int, str]]:
-    """(module, enclosing top-level definition, line, name) of each process-starting name."""
+def _replacements(node: ast.AST) -> list[str]:
+    """`time_execution` replaced on a module: by a setattr that names it, or by assignment to the attribute."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "setattr":
+        names = [arg.value for arg in node.args[:2] if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        return ["setattr" for name in names if name.split(".")[-1] == "time_execution"]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return ["assignment" for target in targets if isinstance(target, ast.Attribute) and target.attr == "time_execution"]
+
+
+def _sites(path: Path, find=_starters) -> list[tuple[str, str | None, int, str]]:
+    """(module, enclosing top-level definition, line, name) of each name that `find` reports."""
     found = []
 
     def visit(node: ast.AST, scope: str | None) -> None:
         if scope is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = node.name
-        found.extend((path.name, scope, getattr(node, "lineno", 0), name) for name in _starters(node))
+        found.extend((path.name, scope, getattr(node, "lineno", 0), name) for name in find(node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -72,3 +86,22 @@ def test_the_guard_sees_every_form_of_process_start(tmp_path):
         ("build", 7, "os.posix_spawnp"),
         ("build", 8, "subprocess.check_output"),
     ]
+
+
+def test_only_conftest_replaces_time_execution(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import passevo.fitness as fitness_mod\n"
+        "def test(monkeypatch):\n"
+        "    monkeypatch.setattr(fitness_mod, 'time_execution', None)\n"
+        "    monkeypatch.setattr('passevo.fitness.time_execution', None)\n"
+        "    setattr(fitness_mod, 'time_execution', None)\n"
+        "    fitness_mod.time_execution = None\n"
+        "    monkeypatch.setattr(fitness_mod, 'hashlib', None)\n"
+        "    real = fitness_mod.time_execution\n",
+        "utf-8",
+    )
+    assert [(line, name) for _, _, line, name in _sites(module, _replacements)] == [
+        (3, "setattr"), (4, "setattr"), (5, "setattr"), (6, "assignment")]
+    sites = [site for path in sorted(TESTS.glob("*.py")) for site in _sites(path, _replacements)]
+    assert [site[:2] for site in sites] == [("conftest.py", "processes")]
