@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import re
@@ -13,7 +14,10 @@ from passevo.config import ExperimentConfig, write_config
 from passevo.evolution import GAConfig
 from passevo.fitness import BackendConfig, RunResult
 
-FAKE_TOOL = Path(__file__).parent / "fake_toolchain.py"
+TESTS = Path(__file__).resolve().parent
+# the package's modules, which the structural guards read
+SOURCES = sorted((TESTS.parent / "src" / "passevo").glob("*.py"))
+FAKE_TOOL = TESTS / "fake_toolchain.py"
 # the fake toolchain's three stage templates; a test that needs another derives it from these
 FAKE_TEMPLATES = {
     "compiler_front_command": f"{sys.executable} {FAKE_TOOL} front {{source}} {{ir}}",
@@ -41,11 +45,6 @@ def assert_trusted_is_public(trusted, public) -> None:
     for f in dataclasses.fields(trusted):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(trusted, f.name, getattr(public, f.name))
-
-
-@pytest.fixture
-def catalog6() -> PassCatalog:
-    return make_catalog(6)
 
 
 def write_test_inputs(dir_path: Path, catalog_size: int = 16, baseline_len: int = 10):
@@ -100,13 +99,34 @@ def config_file(tmp_path: Path, **kwargs) -> Path:
     return path
 
 
-def evolve_with_template(tmp_path, capsys, key, edit):
-    """`passevo evolve` on the fake toolchain with `key`'s value passed through `edit`:
-    the exit code, stderr, and whether the output directory was made."""
+def assert_rejected(tmp_path, capsys, key, edit, pattern: str) -> None:
+    """The fake toolchain's config with `key`'s value passed through `edit` is rejected twice over:
+    a BackendConfig built in code raises ValueError matching `pattern`, and `passevo evolve` on
+    the same edit in a config file exits 2 with `error: <that text>` and makes no output directory."""
     config = config_file(tmp_path, fake_toolchain="ok")
     text = config.read_text()
-    config.write_text(re.sub(f"(?m)^{key} = (.*)$", lambda line: f"{key} = {edit(line[1])}", text))
-    return main(["evolve", "--config", str(config)]), capsys.readouterr().err, (tmp_path / "out").exists()
+    line = re.search(f"(?m)^{key} = (.*)$", text)
+    value = edit(line[1])
+    with pytest.raises(ValueError, match=pattern) as err:
+        fake_backend(tmp_path, **{key: value})
+    config.write_text(text.replace(line[0], f"{key} = {value}"))
+    code = main(["evolve", "--config", str(config)])
+    assert (code, capsys.readouterr().err, (tmp_path / "out").exists()) == (2, f"error: {err.value}\n", False)
+
+
+def find_sites(path: Path, find) -> list[tuple[str, str | None, int, str]]:
+    """(module, enclosing top-level definition, line, name) of each name that `find` reports on a node of a file."""
+    found = []
+
+    def visit(node: ast.AST, scope: str | None) -> None:
+        if scope is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        found.extend((path.name, scope, getattr(node, "lineno", 0), name) for name in find(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text("utf-8"), filename=str(path)), None)
+    return found
 
 
 class Processes:

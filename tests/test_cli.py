@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,9 @@ import pytest
 
 import passevo
 from passevo.cli import main
-from passevo.catalog import serialize_catalog, serialize_sequence
+from passevo.catalog import serialize_sequence
 
-from conftest import config_file, evolve_with_template, make_catalog, make_sequence
+from conftest import assert_rejected, config_file, write_test_inputs
 
 
 # --- evolve ------------------------------------------------------------------
@@ -181,25 +182,17 @@ def test_simulate_one_pass_catalog_target(tmp_path):
 
 # --- apply -------------------------------------------------------------------
 
-def figure_style_files(tmp_path):
-    catalog = make_catalog(8)
-    baseline = make_sequence(catalog, [0, 1, 2, 3, 4])
-    (tmp_path / "catalog.txt").write_text(serialize_catalog(catalog))
-    (tmp_path / "baseline.txt").write_text(serialize_sequence(baseline))
-    return catalog, baseline
+def apply_argv(tmp_path, patch_text: str) -> list[str]:
+    """`passevo apply` of patch_text, written to a file, to the catalog and baseline under tmp_path."""
+    patch = tmp_path / "ind.patch"
+    patch.write_text(patch_text)
+    return ["apply", "--baseline", str(tmp_path / "baseline.txt"), "--individual", str(patch),
+            "--catalog", str(tmp_path / "catalog.txt")]
 
 
 def test_apply_three_patch_figure(tmp_path, capsys):
-    catalog, baseline = figure_style_files(tmp_path)
-    patches = tmp_path / "ind.patch"
-    patches.write_text("insert 0.0 -p7\ndelete 1.0\nreplace 0.5 -p6\n")
-    code = main([
-        "apply",
-        "--baseline", str(tmp_path / "baseline.txt"),
-        "--individual", str(patches),
-        "--catalog", str(tmp_path / "catalog.txt"),
-    ])
-    assert code == 0
+    write_test_inputs(tmp_path, 8, 5)
+    assert main(apply_argv(tmp_path, "insert 0.0 -p7\ndelete 1.0\nreplace 0.5 -p6\n")) == 0
     out_lines = capsys.readouterr().out.splitlines()
     # insert grows to 6, delete shrinks to 5, replace keeps 5
     assert len(out_lines) == 5
@@ -208,30 +201,14 @@ def test_apply_three_patch_figure(tmp_path, capsys):
 
 
 def test_apply_empty_individual_echoes_baseline(tmp_path, capsys):
-    _, baseline = figure_style_files(tmp_path)
-    patches = tmp_path / "empty.patch"
-    patches.write_text("")
-    code = main([
-        "apply",
-        "--baseline", str(tmp_path / "baseline.txt"),
-        "--individual", str(patches),
-        "--catalog", str(tmp_path / "catalog.txt"),
-    ])
-    assert code == 0
+    _, _, _, baseline = write_test_inputs(tmp_path, 8, 5)
+    assert main(apply_argv(tmp_path, "")) == 0
     assert capsys.readouterr().out == serialize_sequence(baseline)
 
 
 def test_apply_unknown_pass_exit_two(tmp_path, capsys):
-    figure_style_files(tmp_path)
-    patches = tmp_path / "bad.patch"
-    patches.write_text("insert 0.5 -nosuchpass\n")
-    code = main([
-        "apply",
-        "--baseline", str(tmp_path / "baseline.txt"),
-        "--individual", str(patches),
-        "--catalog", str(tmp_path / "catalog.txt"),
-    ])
-    assert code == 2
+    write_test_inputs(tmp_path, 8, 5)
+    assert main(apply_argv(tmp_path, "insert 0.5 -nosuchpass\n")) == 2
     assert "-nosuchpass" in capsys.readouterr().err
 
 
@@ -280,25 +257,21 @@ def test_unbalanced_quote_in_a_template_exits_two_before_any_output(tmp_path, ca
 
 @pytest.mark.parametrize("key", ["optimizer_command", "linker_command"])
 def test_source_outside_the_front_end_exits_two(tmp_path, capsys, key):
-    code, err, wrote = evolve_with_template(tmp_path, capsys, key, lambda template: f"{template} {{source}}")
-    assert (code, wrote) == (2, False)
-    assert err.startswith(f"error: {key} cannot take {{source}}; it takes {{ir}}, {{output}}")
+    assert_rejected(tmp_path, capsys, key, lambda template: f"{template} {{source}}",
+                    "^" + re.escape(f"{key} cannot take {{source}}; it takes {{ir}}, {{output}}"))
 
 
 def test_output_in_the_front_end_exits_two(tmp_path, capsys):
     key = "compiler_front_command"
-    code, err, wrote = evolve_with_template(tmp_path, capsys, key, lambda template: f"{template} -o {{output}}")
-    assert (code, wrote) == (2, False)
-    assert err == f"error: {key} cannot take {{output}}; it takes {{source}}, {{ir}}\n"
+    assert_rejected(tmp_path, capsys, key, lambda template: f"{template} -o {{output}}",
+                    "^" + re.escape(f"{key} cannot take {{output}}; it takes {{source}}, {{ir}}") + "$")
 
 
 @pytest.mark.parametrize("argument", ["-passes={passes}", "'{passes} -gvn'", "{passes}{passes}"])
 def test_passes_inside_an_argument_exits_two(tmp_path, capsys, argument):
     key = "optimizer_command"
-    code, err, wrote = evolve_with_template(
-        tmp_path, capsys, key, lambda template: template.replace("{passes}", argument))
-    assert (code, wrote) == (2, False)
-    assert err == f"error: {key}: {{passes}} must be a whole argument; use {{passes_csv}} in one\n"
+    assert_rejected(tmp_path, capsys, key, lambda template: template.replace("{passes}", argument),
+                    "^" + re.escape(f"{key}: {{passes}} must be a whole argument; use {{passes_csv}} in one") + "$")
 
 
 def test_all_trials_failed_exit_one(tmp_path, capsys):
@@ -398,7 +371,7 @@ def test_stats_non_numeric_summary_exit_two(tmp_path, capsys, rows):
     ["stats", "{blob}"],
 ], ids=["evolve-config", "apply-catalog", "apply-baseline", "apply-individual", "stats"])
 def test_undecodable_input_exit_two(tmp_path, capsys, argv):
-    figure_style_files(tmp_path)
+    write_test_inputs(tmp_path, 8, 5)
     patch = tmp_path / "ind.patch"
     patch.write_text("delete 0.5\n")
     blob = tmp_path / "blob.bin"

@@ -9,7 +9,7 @@ from passevo.cli import main
 from passevo.config import load_config, parse_config_text, write_config
 from passevo.errors import ValidationError
 
-from conftest import config_file, evolve_with_template, fake_backend, write_test_inputs
+from conftest import assert_rejected, config_file, fake_backend, write_test_inputs
 
 
 MINIMAL = """\
@@ -192,9 +192,7 @@ def test_external_kind_requires_commands_and_source(tmp_path, capsys):
         cases.append((key, " \t ", f"{key} is required when kind = external_compiler"))
     # a config built in code gets the same checks, with the text a config file exits 2 with
     for key, value, message in cases:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            fake_backend(tmp_path, **{key: value})
-        assert evolve_with_template(tmp_path, capsys, key, lambda _: value) == (2, f"error: {message}\n", False)
+        assert_rejected(tmp_path, capsys, key, lambda _: value, f"^{re.escape(message)}$")
 
 
 def _no_pidfd_open(*_):

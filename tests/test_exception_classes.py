@@ -10,9 +10,8 @@ evaluate and never reaches the CLI.
 
 import ast
 import builtins
-from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "passevo").glob("*.py"))
+from conftest import SOURCES
 
 
 def _base_name(node: ast.expr) -> str:

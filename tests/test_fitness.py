@@ -42,9 +42,9 @@ from passevo.fitness import (
 
 from conftest import (
     FAKE_TEMPLATES,
+    assert_rejected,
     assert_trusted_is_public,
     config_file,
-    evolve_with_template,
     fake_backend,
     make_catalog,
 )
@@ -646,6 +646,16 @@ def test_evaluate_ok_record(tmp_path):
     assert math.isfinite(record.fitness)
 
 
+def test_a_program_that_sleeps_scores_a_higher_mean(tmp_path):
+    """Fitness points the right way: the fake toolchain's `sleep <s>` program is timed as slower."""
+    seq = PassSequence(("-sroa",))
+    slow = evaluate(seq, fake_backend(tmp_path / "slow", behavior="sleep 0.1"), EvaluationCache())
+    fast = evaluate(seq, fake_backend(tmp_path / "fast", behavior="ok"), EvaluationCache())
+    assert slow.status is fast.status is EvaluationStatus.OK
+    assert slow.mean >= 0.1
+    assert slow.mean > fast.mean
+
+
 def test_evaluate_compile_error_on_broken_pass(tmp_path):
     cfg = fake_backend(tmp_path)
     record = evaluate(PassSequence(("-sroa", "-broken")), cfg, EvaluationCache())
@@ -755,6 +765,20 @@ def test_fresh_linked_evaluation_hashes_each_artifact_once(tmp_path, monkeypatch
     # the sequence, the optimized IR and the executable, which put_linked interns unhashed
     assert len(hashed) == 3
     assert hashed[0] == b"-sroa" and hashed[2].startswith(b"#!")
+
+
+def test_equal_executables_are_interned_as_one_object():
+    """Equal executables linked from two optimized IRs are kept as one bytes object, so the
+    store holds one copy per distinct executable; an executable that differs stays apart."""
+    cache = EvaluationCache()
+    exe = b"#!/bin/sh\necho same\n"
+    first, second, other = bytes(bytearray(exe)), bytes(bytearray(exe)), b"#!/bin/sh\necho other\n"
+    assert first == second and first is not second
+    for ir, linked in (("ir-a", first), ("ir-b", second), ("ir-c", other)):
+        cache.put_linked(ir, linked)
+    assert cache.get_linked("ir-a") is cache.get_linked("ir-b") is first
+    assert cache.get_linked("ir-c") is other
+    assert cache.get_linked("ir-d") is None
 
 
 def test_different_executable_is_timed(tmp_path, processes):
@@ -912,11 +936,8 @@ def test_only_the_optimizer_takes_the_candidate(tmp_path, capsys, key, placehold
     """A front end or linker that took the pass list would make the optimized IR
     not decide the executable; it is refused at load, before anything is written."""
     name = placeholder[placeholder.index("{"):]
-    with pytest.raises(ValueError, match=f"^{key} cannot take {re.escape(name)};"):
-        fake_backend(tmp_path, **{key: f"{FAKE_TEMPLATES[key]} {placeholder}"})
-    code, err, wrote = evolve_with_template(tmp_path, capsys, key, lambda template: f"{template} {placeholder}")
-    assert (code, wrote) == (2, False)
-    assert err.startswith(f"error: {key} cannot take {name};")
+    assert_rejected(tmp_path, capsys, key, lambda template: f"{template} {placeholder}",
+                    f"^{key} cannot take {re.escape(name)};")
 
 
 _MISSING = {
@@ -932,11 +953,7 @@ _MISSING = {
 @pytest.mark.parametrize("missing", _MISSING)
 def test_a_stage_without_what_it_must_take_exits_two(tmp_path, capsys, missing):
     key, edit, names = _MISSING[missing]
-    with pytest.raises(ValueError, match=f"^{key} must take {re.escape(names)}$"):
-        fake_backend(tmp_path, **{key: edit(FAKE_TEMPLATES[key])})
-    code, err, wrote = evolve_with_template(tmp_path, capsys, key, edit)
-    assert (code, wrote) == (2, False)
-    assert err == f"error: {key} must take {names}\n"
+    assert_rejected(tmp_path, capsys, key, edit, f"^{key} must take {re.escape(names)}$")
 
 
 def test_front_end_and_optimizer_input_are_not_required(tmp_path):

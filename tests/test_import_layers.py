@@ -9,7 +9,8 @@ that two modules each own part of one decision.
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "passevo").glob("*.py"))
+from conftest import SOURCES, find_sites
+
 PACKAGE = "passevo"
 
 
@@ -25,53 +26,37 @@ def _siblings(node: ast.AST) -> list[str]:
     return [name.split(".")[1] for name in dotted if name.startswith(PACKAGE + ".")]
 
 
-def _imports(path: Path) -> list[tuple[str | None, int, str]]:
-    """(enclosing top-level definition, line, imported module) of each sibling import in a file."""
-    found = []
-
-    def visit(node: ast.AST, scope: str | None) -> None:
-        if scope is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = node.name
-        found.extend((scope, getattr(node, "lineno", 0), name) for name in _siblings(node))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text("utf-8"), filename=str(path)), None)
-    return found
-
-
 def _cycle(graph: dict[str, set[str]]) -> list[str]:
     """One import cycle as [a, b, ..., a], or [] if the graph has none."""
     done: set[str] = set()
     path: list[str] = []
 
-    def visit(module: str) -> list[str]:
+    def follow(module: str) -> list[str]:
         if module in path:
             return path[path.index(module):] + [module]
         if module in done:
             return []
         path.append(module)
         for target in sorted(graph.get(module, ())):
-            if found := visit(target):
+            if found := follow(target):
                 return found
         path.pop()
         done.add(module)
         return []
 
     for module in sorted(graph):
-        if found := visit(module):
+        if found := follow(module):
             return found
     return []
 
 
 def _module_graph(paths: list[Path]) -> dict[str, set[str]]:
     """Each module's sibling imports, at any depth: a deferred import still depends on its module."""
-    return {path.stem: {name for _, _, name in _imports(path)} for path in paths}
+    return {path.stem: {name for _, _, _, name in find_sites(path, _siblings)} for path in paths}
 
 
 def test_no_function_imports_a_sibling_module():
-    nested = [(path.name, scope, line, name) for path in SOURCES
-              for scope, line, name in _imports(path) if scope is not None]
+    nested = [site for path in SOURCES for site in find_sites(path, _siblings) if site[1] is not None]
     assert nested == []
 
 
@@ -94,7 +79,8 @@ def test_the_guard_sees_nested_imports_and_cycles(tmp_path):
     (tmp_path / "b.py").write_text("from passevo.c import thing\nimport passevo.d\n", "utf-8")
     (tmp_path / "c.py").write_text("from passevo import a\n", "utf-8")
     (tmp_path / "d.py").write_text("import json\n", "utf-8")
-    assert _imports(tmp_path / "a.py") == [(None, 2, "b"), (None, 3, "c"), ("late", 5, "d")]
+    assert [site[1:] for site in find_sites(tmp_path / "a.py", _siblings)] == [
+        (None, 2, "b"), (None, 3, "c"), ("late", 5, "d")]
     graph = _module_graph(sorted(tmp_path.glob("*.py")))
     assert graph == {"a": {"b", "c", "d"}, "b": {"c", "d"}, "c": {"a"}, "d": set()}
     assert _cycle(graph) == ["a", "b", "c", "a"]

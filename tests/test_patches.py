@@ -70,6 +70,36 @@ def random_corpus(cases: int, rng: random.Random, catalog_size: int = 6,
         yield PassSequence(baseline), Individual(tuple(patches))
 
 
+# --- the patch laws, each checked by one function over (baseline, individual) cases ---
+
+def oracle_mismatches(cases) -> list:
+    """The cases on which apply_individual disagrees with the naive interpreter."""
+    return [(baseline, ind) for baseline, ind in cases
+            if list(apply_individual(baseline, ind).passes) != naive_apply(list(baseline.passes), ind.patches)]
+
+
+LENGTH_STEP = {PatchType.INSERTION: 1, PatchType.REPLACEMENT: 0, PatchType.DELETION: -1}
+
+
+def patch_law_violations(cases) -> list:
+    """(baseline, individual, law) for each law a case breaks. "length": an insertion adds one
+    pass, a replacement none, a deletion one unless the sequence is empty. "closure": every pass
+    comes from the baseline or a patch. "fold": apply_individual is apply_patch folded over the genome."""
+    broken = []
+    for baseline, ind in cases:
+        current = baseline
+        for patch in ind.patches:
+            before = len(current)
+            current = apply_patch(current, patch)
+            if len(current) != max(before + LENGTH_STEP[patch.ptype], 0):
+                broken.append((baseline, ind, "length"))
+        if not set(current.passes) <= set(baseline.passes) | {p.value for p in ind.patches if p.value is not None}:
+            broken.append((baseline, ind, "closure"))
+        if apply_individual(baseline, ind).passes != current.passes:
+            broken.append((baseline, ind, "fold"))
+    return broken
+
+
 # --- apply_patch -------------------------------------------------------------
 
 FIVE = ("a", "b", "c", "d", "e")
@@ -206,34 +236,12 @@ def test_bad_tokens_still_rejected_at_the_boundary():
 
 
 def test_oracle_equivalence_10k_cases():
-    rng = random.Random(20250810)
-    for baseline, ind in random_corpus(10_000, rng):
-        expected = naive_apply(list(baseline.passes), ind.patches)
-        assert list(apply_individual(baseline, ind).passes) == expected
+    # a seed of its own: criterion 1 checks the same law on seed 20250810's corpus
+    assert oracle_mismatches(random_corpus(10_000, random.Random(424242))) == []
 
 
 def test_length_algebra_and_closure_on_corpus():
-    rng = random.Random(99991)
-    violations = 0
-    for baseline, ind in random_corpus(10_000, rng):
-        current = baseline
-        allowed = set(baseline.passes) | {p.value for p in ind.patches if p.value is not None}
-        for patch in ind.patches:
-            before = len(current)
-            current = apply_patch(current, patch)
-            if patch.ptype is PatchType.INSERTION:
-                ok = len(current) == before + 1
-            elif patch.ptype is PatchType.REPLACEMENT:
-                ok = len(current) == before
-            else:
-                ok = len(current) == max(before - 1, 0)
-            if not ok:
-                violations += 1
-        if not set(current.passes) <= allowed:
-            violations += 1
-        if apply_individual(baseline, ind).passes != current.passes:
-            violations += 1
-    assert violations == 0
+    assert patch_law_violations(random_corpus(10_000, random.Random(99991))) == []
 
 
 # --- the one-list fold against a one-patch-at-a-time tuple-slicing fold -----

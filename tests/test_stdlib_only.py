@@ -2,11 +2,10 @@
 
 import ast
 import sys
-from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "passevo").glob("*.py"))
+from conftest import SOURCES
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

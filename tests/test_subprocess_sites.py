@@ -13,10 +13,9 @@ stated once.
 """
 
 import ast
-from pathlib import Path
 
-TESTS = Path(__file__).resolve().parent
-SOURCES = sorted((TESTS.parent / "src" / "passevo").glob("*.py"))
+from conftest import SOURCES, TESTS, find_sites
+
 OS_STARTERS = ("system", "popen", "exec", "spawn", "posix_spawn", "fork")
 
 
@@ -44,23 +43,8 @@ def _replacements(node: ast.AST) -> list[str]:
     return ["assignment" for target in targets if isinstance(target, ast.Attribute) and target.attr == "time_execution"]
 
 
-def _sites(path: Path, find=_starters) -> list[tuple[str, str | None, int, str]]:
-    """(module, enclosing top-level definition, line, name) of each name that `find` reports."""
-    found = []
-
-    def visit(node: ast.AST, scope: str | None) -> None:
-        if scope is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = node.name
-        found.extend((path.name, scope, getattr(node, "lineno", 0), name) for name in find(node))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text("utf-8"), filename=str(path)), None)
-    return found
-
-
 def test_only_time_execution_starts_processes():
-    sites = [site for path in SOURCES for site in _sites(path)]
+    sites = [site for path in SOURCES for site in find_sites(path, _starters)]
     assert [site for site in sites if site[:2] != ("fitness.py", "time_execution")] == []
     assert any(site[:2] == ("fitness.py", "time_execution") for site in sites), "the guard lost the spawn site"
 
@@ -78,7 +62,7 @@ def test_the_guard_sees_every_form_of_process_start(tmp_path):
         "    return subprocess.check_output(['cc'])\n",
         "utf-8",
     )
-    assert [(scope, line, name) for _, scope, line, name in _sites(module)] == [
+    assert [(scope, line, name) for _, scope, line, name in find_sites(module, _starters)] == [
         (None, 2, "subprocess as sp"),
         (None, 3, "subprocess.run"),
         (None, 4, "os.execvp"),
@@ -101,7 +85,7 @@ def test_only_conftest_replaces_time_execution(tmp_path):
         "    real = fitness_mod.time_execution\n",
         "utf-8",
     )
-    assert [(line, name) for _, _, line, name in _sites(module, _replacements)] == [
+    assert [(line, name) for _, _, line, name in find_sites(module, _replacements)] == [
         (3, "setattr"), (4, "setattr"), (5, "setattr"), (6, "assignment")]
-    sites = [site for path in sorted(TESTS.glob("*.py")) for site in _sites(path, _replacements)]
+    sites = [site for path in sorted(TESTS.glob("*.py")) for site in find_sites(path, _replacements)]
     assert [site[:2] for site in sites] == [("conftest.py", "processes")]
