@@ -25,7 +25,7 @@ from typing import Callable
 from .catalog import PassCatalog, PassSequence, resolve_catalog, resolve_sequence, serialize_sequence
 from .config import ExperimentConfig, write_config
 from .errors import ExecutionError, ValidationError
-from .evolution import GenerationRecord, evolve
+from .evolution import FitnessFn, GenerationRecord, evolve
 from .fitness import (
     KIND_SIMULATED,
     BackendConfig,
@@ -62,41 +62,46 @@ RecordFn = Callable[[PassSequence], EvaluationRecord]
 RecordsFn = Callable[[list[PassSequence]], list[EvaluationRecord]]
 
 
-def build_records_fn(
+def build_scorers(
     backend: BackendConfig, catalog: PassCatalog, baseline: PassSequence, cache_path: Path | None = None
-) -> RecordsFn:
-    """Wire a backend config into a memoized batch: sequences -> one record each, in order.
+) -> tuple[FitnessFn, RecordsFn]:
+    """Wire a backend config into two views of one state: sequences -> fitnesses, and sequences -> records.
 
-    The simulated memo is keyed by a sequence's pass tuple, so a repeat costs
-    one lookup; the distinct sequences it lacks are scored in one
-    simulated_fitnesses call, and only they are digested. The external batch
-    evaluates the sequences in order, and only it persists its records, at
-    `cache_path`."""
+    The simulated memo keeps each sequence's fitness under its pass tuple, so
+    a repeat costs one lookup; the distinct sequences it lacks are scored in
+    one simulated_fitnesses call. Only records_fn digests a sequence and
+    builds its record; a run asks it for the baseline alone. The external
+    records_fn evaluates the sequences in order, persisting at `cache_path`,
+    and fitness_fn reads each record's fitness."""
     if backend.kind == KIND_SIMULATED:
         rng = random.Random(backend.sim_target_seed)
         target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
         model = SimModel(target=target, base_runtime=backend.sim_base_runtime)
-        memo: dict[tuple[str, ...], EvaluationRecord] = {}
+        memo: dict[tuple[str, ...], float] = {}
+
+        def fitness_fn(seqs: list[PassSequence]) -> list[float]:
+            fresh = {seq.passes: seq for seq in seqs if seq.passes not in memo}
+            memo.update(zip(fresh, simulated_fitnesses(list(fresh.values()), model)))
+            return [memo[seq.passes] for seq in seqs]
 
         def records_fn(seqs: list[PassSequence]) -> list[EvaluationRecord]:
-            records = [memo.get(seq.passes) for seq in seqs]
-            fresh = {seq.passes: seq for seq, record in zip(seqs, records) if record is None}
-            values = simulated_fitnesses(list(fresh.values()), model)
-            for (passes, seq), value in zip(fresh.items(), values):
-                memo[passes] = simulated_record(sequence_digest(seq), value)
-            return [memo[seq.passes] if record is None else record for seq, record in zip(seqs, records)]
+            return [simulated_record(sequence_digest(s), v) for s, v in zip(seqs, fitness_fn(seqs))]
 
-        return records_fn
+        return fitness_fn, records_fn
 
     cache = EvaluationCache(cache_path)
-    return lambda seqs: [evaluate(seq, backend, cache) for seq in seqs]
+
+    def records_fn(seqs: list[PassSequence]) -> list[EvaluationRecord]:
+        return [evaluate(seq, backend, cache) for seq in seqs]
+
+    return (lambda seqs: [record.fitness for record in records_fn(seqs)]), records_fn
 
 
 def build_record_fn(
     backend: BackendConfig, catalog: PassCatalog, baseline: PassSequence, cache_path: Path | None = None
 ) -> RecordFn:
-    """build_records_fn for one sequence at a time."""
-    records_fn = build_records_fn(backend, catalog, baseline, cache_path)
+    """build_scorers' records_fn for one sequence at a time."""
+    _, records_fn = build_scorers(backend, catalog, baseline, cache_path)
     return lambda seq: records_fn([seq])[0]
 
 
@@ -114,7 +119,8 @@ def measure_baseline(cfg: ExperimentConfig) -> EvaluationRecord:
     """Score the unmodified baseline once, without writing any artifact."""
     catalog = resolve_catalog(cfg.catalog_path)
     baseline = resolve_sequence(cfg.baseline_path, catalog)
-    return _score_baseline(build_records_fn(cfg.backend, catalog, baseline), baseline)
+    _, records_fn = build_scorers(cfg.backend, catalog, baseline)
+    return _score_baseline(records_fn, baseline)
 
 
 TrialProgressFn = Callable[[int, GenerationRecord], None]
@@ -139,9 +145,8 @@ def run_trials(
     try:
         out_root.mkdir(parents=True, exist_ok=True)
         # the cache is read first, so a resume it rejects leaves the old provenance
-        records_fn = build_records_fn(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
+        fitness_fn, records_fn = build_scorers(cfg.backend, catalog, baseline, out_root / "eval_cache.jsonl")
         write_config(cfg, out_root / "effective_config.ini")
-        fitness_fn = lambda seqs: [record.fitness for record in records_fn(seqs)]
 
         baseline_fitness = _score_baseline(records_fn, baseline).fitness
 

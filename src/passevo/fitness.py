@@ -454,7 +454,7 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> E
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError(
-            "evaluate() drives the external toolchain; a simulated config scores through experiment.build_records_fn"
+            "evaluate() drives the external toolchain; a simulated config scores through experiment.build_scorers"
         )
     digest = sequence_digest(seq)
     hit = cache.get(digest)
@@ -588,31 +588,13 @@ def simulated_fitnesses(seqs: list[PassSequence], model: SimModel) -> list[float
     return [model.base_runtime * (1.0 + d / max(len(model.target), 1)) for d in distances]
 
 
-# simulated_record fills each slot through its member descriptor, as the
-# trusted constructors in patches.py do; the frozen keyword __init__ costs
-# more than twice as much.
-_set_digest = EvaluationRecord.__dict__["sequence_digest"].__set__
-_set_runs = EvaluationRecord.__dict__["runs"].__set__
-_set_samples = EvaluationRecord.__dict__["samples"].__set__
-_set_mean = EvaluationRecord.__dict__["mean"].__set__
-_set_stddev = EvaluationRecord.__dict__["sample_stddev"].__set__
-_set_status = EvaluationRecord.__dict__["status"].__set__
-_set_diagnostics = EvaluationRecord.__dict__["diagnostics"].__set__
 # Hot paths read OK as a global: a class-attribute enum lookup is slow on CPython 3.11 (3.12 made it cheaper).
 _OK = EvaluationStatus.OK
 
 
 def simulated_record(digest: str, value: float) -> EvaluationRecord:
     """The record of the sequence with this digest, which the simulated landscape scored `value`."""
-    record = object.__new__(EvaluationRecord)
-    _set_digest(record, digest)
-    _set_runs(record, 1)
-    _set_samples(record, (value,))
-    _set_mean(record, value)
-    _set_stddev(record, 0.0)
-    _set_status(record, _OK)
-    _set_diagnostics(record, "")
-    return record
+    return EvaluationRecord(digest, 1, (value,), value, 0.0, _OK)
 
 
 def perturb_sequence(

@@ -7,9 +7,10 @@ skipped, and validate-once sequences to the same artifacts, byte for byte,
 and likewise the GA operators' inline getrandbits draws, the loop that
 Random._randbelow runs (test_evolution.py's
 test_direct_draws_match_the_public_random_methods guards it), the
-module-level enum constants, the heapq.nsmallest elites and the
-slotted value types (Patch, Individual, PassSequence, EvaluationRecord),
-which the inner loops fill through their slot descriptors.
+module-level enum constants, the heapq.nsmallest elites, the slotted
+value types (Patch, Individual, PassSequence), which the inner loops fill
+through their slot descriptors, and the memo that keeps each simulated
+candidate's fitness as a float, with no EvaluationRecord.
 The low-reuse sim-fresh configuration, far from its target and with few
 repeats, is pinned against the benchmark's committed reference, which this
 file only reads.

@@ -10,12 +10,13 @@ from passevo.errors import ExecutionError, ValidationError
 from passevo.evolution import GAConfig, GenerationRecord
 from passevo.experiment import (
     build_record_fn,
-    build_records_fn,
+    build_scorers,
     measure_baseline,
     resolve_catalog,
+    resolve_sequence,
     run_trials,
 )
-from passevo.fitness import PENALTY, BackendConfig, perturb_sequence, sequence_digest
+from passevo.fitness import PENALTY, BackendConfig, perturb_sequence, sequence_digest, simulated_record
 from passevo.patches import Individual
 
 from conftest import experiment_config, fake_backend, make_catalog, make_sequence, write_test_inputs
@@ -214,16 +215,8 @@ def test_external_backend_uses_persistent_cache(tmp_path):
     assert all(set(r) == fields for r in rows)
 
 
-def test_simulated_record_fn_memoizes(tmp_path):
-    _, _, catalog, baseline = write_test_inputs(tmp_path)
-    backend = BackendConfig(kind="simulated", sim_target_edits=1)
-    record_fn = build_record_fn(backend, catalog, baseline)
-    assert record_fn(baseline) is record_fn(baseline)
-
-
-def test_simulated_records_fn_scores_each_fresh_sequence_once(tmp_path, monkeypatch):
-    _, _, catalog, baseline = write_test_inputs(tmp_path)
-    backend = BackendConfig(kind="simulated", sim_target_edits=1)
+def _record_scored(monkeypatch) -> list[PassSequence]:
+    """Every sequence experiment passes to simulated_fitnesses, in order."""
     scored = []
     real = experiment_mod.simulated_fitnesses
 
@@ -231,38 +224,70 @@ def test_simulated_records_fn_scores_each_fresh_sequence_once(tmp_path, monkeypa
         scored.extend(seqs)
         return real(seqs, model)
 
-    digested = []
-
-    def counting_digest(seq):
-        digested.append(seq)
-        return sequence_digest(seq)
-
     monkeypatch.setattr(experiment_mod, "simulated_fitnesses", recording)
-    monkeypatch.setattr(experiment_mod, "sequence_digest", counting_digest)
-    records_fn = build_records_fn(backend, catalog, baseline)
+    return scored
+
+
+def test_simulated_record_fn_memoizes(tmp_path, monkeypatch):
+    _, _, catalog, baseline = write_test_inputs(tmp_path)
+    backend = BackendConfig(kind="simulated", sim_target_edits=1)
+    scored = _record_scored(monkeypatch)
+    record_fn = build_record_fn(backend, catalog, baseline)
+    first = record_fn(baseline)
+    assert record_fn(baseline) == first == simulated_record(sequence_digest(baseline), first.mean)
+    assert scored == [baseline]
+
+
+def test_simulated_records_fn_scores_each_fresh_sequence_once(tmp_path, monkeypatch):
+    _, _, catalog, baseline = write_test_inputs(tmp_path)
+    backend = BackendConfig(kind="simulated", sim_target_edits=1)
+    scored = _record_scored(monkeypatch)
+    fitness_fn, records_fn = build_scorers(backend, catalog, baseline)
     other = make_sequence(catalog, [0, 1])
-    first = records_fn([baseline, other, baseline])
-    assert first[0] is first[2]
-    assert [r.sequence_digest for r in first] == [sequence_digest(s) for s in (baseline, other, baseline)]
-    second = records_fn([other, PassSequence(baseline.passes)])
-    assert second[0] is first[1] and second[1] is first[0]
+
+    def unexpected(*args):
+        raise AssertionError("fitness_fn digested a sequence or built a record")
+
+    with monkeypatch.context() as m:
+        m.setattr(experiment_mod, "sequence_digest", unexpected)
+        m.setattr(experiment_mod, "simulated_record", unexpected)
+        first = fitness_fn([baseline, other, baseline])
+        second = fitness_fn([other, PassSequence(baseline.passes)])
+    assert first[0] == first[2] and second == first[1::-1]
     assert scored == [baseline, other]
-    assert digested == [baseline, other]
+    # records_fn reads the same memo: it scores nothing again
+    records = records_fn([other, baseline])
+    assert records == [simulated_record(sequence_digest(s), v) for s, v in zip((other, baseline), second)]
+    assert scored == [baseline, other]
     one = build_record_fn(backend, catalog, baseline)
-    assert [one(s) for s in (baseline, other)] == first[:2]
+    assert [one(s) for s in (other, baseline)] == records
+
+
+def test_simulated_run_digests_only_the_baseline(tmp_path, monkeypatch):
+    cfg = experiment_config(tmp_path, trials=2, seeds=(1, 2), rng_seed=100)
+    digested = []
+    real = experiment_mod.sequence_digest
+    monkeypatch.setattr(experiment_mod, "sequence_digest", lambda seq: digested.append(seq) or real(seq))
+    results, _ = run_trials(cfg)
+    assert all(r.ok for r in results)
+    baseline = resolve_sequence(cfg.baseline_path, resolve_catalog(cfg.catalog_path))
+    assert digested == [baseline]
 
 
 def test_external_records_fn_keeps_request_order(tmp_path):
     _, _, catalog, baseline = write_test_inputs(tmp_path, 6, 3)
     backend = fake_backend(tmp_path, behavior="ok", runs_per_eval=1)
     cache_file = tmp_path / "eval_cache.jsonl"
-    records_fn = build_records_fn(backend, catalog, baseline, cache_file)
+    fitness_fn, records_fn = build_scorers(backend, catalog, baseline, cache_file)
     seqs = [make_sequence(catalog, [2]), baseline, make_sequence(catalog, [2]), make_sequence(catalog, [0, 4])]
     records = records_fn(seqs)
     assert [r.sequence_digest for r in records] == [sequence_digest(s) for s in seqs]
     assert records[0] == records[2]
     rows = [json.loads(line)["digest"] for line in cache_file.read_text().splitlines()]
     assert rows == [sequence_digest(s) for s in (seqs[0], seqs[1], seqs[3])]
+    # fitness_fn reads the same cache: it evaluates nothing again
+    assert fitness_fn(seqs) == [r.fitness for r in records]
+    assert len(cache_file.read_text().splitlines()) == len(rows)
 
 
 def test_rerun_in_the_same_output_dir_starts_no_process(tmp_path, processes):

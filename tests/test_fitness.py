@@ -1007,7 +1007,7 @@ def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path):
 
 
 def test_evaluate_rejects_simulated_config():
-    with pytest.raises(ValueError, match=r"experiment\.build_records_fn"):
+    with pytest.raises(ValueError, match=r"experiment\.build_scorers"):
         evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"), EvaluationCache())
 
 
