@@ -132,8 +132,9 @@ def find_sites(path: Path, find) -> list[tuple[str, str | None, int, str]]:
 class Processes:
     """The one stand-in for fitness.time_execution: every process an evaluation starts.
 
-    `calls` holds each one's (stage, argv). The stage is "run" for a timed run of
-    the built program, else the fake toolchain's stage, argv[2]: front, opt or link.
+    `calls` holds each one's (stage, argv). The stage is the fake toolchain's stage
+    word, argv[2] (front, opt or link); "run" for a timed run of the built program;
+    and for any other process the file name of argv[0], such as "true" or "opt".
     `replies` maps a stage to what its calls return in place of the real call: a
     RunResult, or a callable given the argv and the real call (no arguments).
     """
@@ -148,7 +149,12 @@ class Processes:
         return [stage for stage, _ in self.calls]
 
     def __call__(self, argv: list[str], timeout: float) -> RunResult:
-        stage = "run" if argv[0].endswith("program.bin") else argv[2]
+        if argv[1:2] == [str(FAKE_TOOL)]:
+            stage = argv[2]
+        elif argv[0].endswith("program.bin"):
+            stage = "run"
+        else:
+            stage = Path(argv[0]).name
         self.calls.append((stage, argv))
         reply = self.replies.get(stage)
         real = functools.partial(self._real, argv, timeout)

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import json
@@ -40,43 +41,24 @@ from passevo.fitness import (
     time_execution,
 )
 
-from conftest import (
-    FAKE_TEMPLATES,
-    assert_rejected,
-    assert_trusted_is_public,
-    config_file,
-    fake_backend,
-    make_catalog,
-)
+from conftest import FAKE_TEMPLATES, assert_rejected, config_file, fake_backend, make_catalog
 
 
-# --- independent oracle: plain recursive edit distance -----------------------
+# --- the distance kernel, checked by one function over (target, candidates) batches ---
 
 def recursive_edit_distance(a: tuple, b: tuple) -> int:
     @functools.lru_cache(maxsize=None)
     def go(i: int, j: int) -> int:
-        if i == len(a):
-            return len(b) - j
-        if j == len(b):
-            return len(a) - i
-        return min(
-            go(i + 1, j) + 1,
-            go(i, j + 1) + 1,
-            go(i + 1, j + 1) + (a[i] != b[j]),
-        )
+        if i == len(a) or j == len(b):
+            return len(a) - i + len(b) - j
+        return min(go(i + 1, j) + 1, go(i, j + 1) + 1, go(i + 1, j + 1) + (a[i] != b[j]))
 
     return go(0, 0)
 
 
-@given(st.lists(st.sampled_from("abc"), max_size=9), st.lists(st.sampled_from("abc"), max_size=9))
-def test_edit_distance_matches_recursive_oracle(a, b):
-    assert edit_distance(tuple(a), tuple(b)) == recursive_edit_distance(tuple(a), tuple(b))
-
-
-# --- independent oracle: the full-matrix DP --------------------------------
-
+@functools.lru_cache(maxsize=4096)
 def matrix_edit_distance(a: tuple, b: tuple) -> int:
-    """The O(len(a) * len(b)) Wagner-Fischer table, row by row."""
+    """The O(len(a) * len(b)) Wagner-Fischer table, row by row (memoized: batches share candidates)."""
     previous = list(range(len(b) + 1))
     for i, x in enumerate(a, start=1):
         current = [i]
@@ -86,52 +68,84 @@ def matrix_edit_distance(a: tuple, b: tuple) -> int:
     return previous[-1]
 
 
-@st.composite
-def token_pairs(draw):
-    """Two sequences of 0-150 tokens over a 1-4 symbol alphabet."""
-    alphabet = "abcd"[: draw(st.integers(1, 4))]
-    tokens = st.lists(st.sampled_from(alphabet), max_size=150)
-    return tuple(draw(tokens)), tuple(draw(tokens))
+def distance_mismatches(a: tuple, bs: list[tuple]) -> list:
+    """(candidate, way) for each way of measuring a candidate from `a` that disagrees with
+    matrix_edit_distance: "batch" (edit_distances), "lanes" (the batch with prebuilt
+    match_lanes), "alone" (edit_distance) and "swapped" (edit_distance from the candidate).
+    It reads the kernel through the module, so a test can swap it."""
+    expected = [matrix_edit_distance(a, b) for b in bs]
+    ways = {
+        "batch": fitness_mod.edit_distances(a, bs),
+        "lanes": fitness_mod.edit_distances(a, bs, match_lanes(a)),
+        "alone": [fitness_mod.edit_distance(a, b) for b in bs],
+        "swapped": [fitness_mod.edit_distance(b, a) for b in bs],
+    }
+    return [(b, way) for way, got in ways.items() for b, d, e in zip(bs, got, expected) if d != e]
 
 
 def draw_edited(draw, base: tuple, alphabet: str, max_edits: int) -> tuple:
     """A copy of `base` with 0..max_edits random inserts, deletes and replacements."""
     edited = list(base)
     for _ in range(draw(st.integers(0, max_edits))):
-        op = draw(st.sampled_from(("insert", "delete", "replace") if edited else ("insert",)))
-        if op == "insert":
-            edited.insert(draw(st.integers(0, len(edited))), draw(st.sampled_from(alphabet)))
-        elif op == "delete":
-            del edited[draw(st.integers(0, len(edited) - 1))]
-        else:
-            edited[draw(st.integers(0, len(edited) - 1))] = draw(st.sampled_from(alphabet))
+        i = draw(st.integers(0, len(edited)))
+        op = draw(st.sampled_from(("insert", "delete", "replace") if i < len(edited) else ("insert",)))
+        edited[i : i + (op != "insert")] = [] if op == "delete" else [draw(st.sampled_from(alphabet))]
     return tuple(edited)
 
 
+BYTE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65)
+
+
 @st.composite
-def edited_pairs(draw):
-    """A base sequence and a copy with 0-4 random edits, so the trim has work."""
+def batches(draw, kinds=("random", "edited", "splice", "ends", "duplicate"), most=12):
+    """A target over 1-4 symbols, its length often at a lane's byte edge, and one candidate of up
+    to 150 tokens if `most` is 1 (a pair), else 0-`most` of up to 80, each of a kind in `kinds`:
+    random; edited, the target with 0-4 edits; splice, a prefix and a suffix of it; ends, its prefix
+    and suffix around an independent core; or a duplicate of an earlier one. Few symbols make the
+    ends ambiguous: ("a",) * 5 and ("a",) * 3 share a prefix of 3 and a suffix of 3, but 3 in all."""
+    longest = 150 if most == 1 else 80
     alphabet = "abcd"[: draw(st.integers(1, 4))]
-    base = tuple(draw(st.lists(st.sampled_from(alphabet), max_size=150)))
-    return base, draw_edited(draw, base, alphabet, 4)
+
+    def tokens(low: int, high: int) -> tuple:  # drawn as bytes, which hypothesis draws in bulk
+        return tuple(alphabet[byte % len(alphabet)] for byte in draw(st.binary(min_size=low, max_size=high)))
+
+    size = draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(0, longest)))
+    a = tokens(size, size)
+    bs: list[tuple] = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1 if most == 1 else 0, max_size=most)):
+        if kind == "edited":
+            bs.append(draw_edited(draw, a, alphabet, 4))
+        elif kind in ("splice", "ends"):
+            cut = draw(st.integers(0, size))
+            end = draw(st.integers(cut, size))
+            bs.append(a[:cut] + tokens(0, longest - size + end - cut if kind == "ends" else 0) + a[end:])
+        elif kind == "duplicate" and bs:
+            bs.append(draw(st.sampled_from(bs)))
+        else:
+            bs.append(tokens(0, longest))
+    return a, bs
 
 
-@given(token_pairs())
-def test_edit_distance_matches_matrix_oracle(pair):
-    a, b = pair
-    assert edit_distance(a, b) == matrix_edit_distance(a, b)
+@given(st.lists(st.sampled_from("abc"), max_size=9), st.lists(st.sampled_from("abc"), max_size=9))
+def test_edit_distance_matches_recursive_oracle(a, b):
+    a, b = tuple(a), tuple(b)
+    assert distance_mismatches(a, [b]) == [] and matrix_edit_distance(a, b) == recursive_edit_distance(a, b)
 
 
-@given(edited_pairs())
-def test_edit_distance_matches_matrix_oracle_near_copies(pair):
-    a, b = pair
-    assert edit_distance(a, b) == matrix_edit_distance(a, b) <= 4
+@given(batches(("random",), most=1))
+def test_edit_distance_matches_matrix_oracle(batch):
+    assert distance_mismatches(*batch) == []
 
 
-@given(st.one_of(token_pairs(), edited_pairs()))
-def test_edit_distance_is_symmetric(pair):
-    a, b = pair
-    assert edit_distance(a, b) == edit_distance(b, a)
+@given(batches(("edited",), most=1))
+def test_edit_distance_matches_matrix_oracle_near_copies(batch):
+    a, bs = batch
+    assert distance_mismatches(a, bs) == [] and matrix_edit_distance(a, bs[0]) <= 4
+
+
+@given(batches(("random", "edited"), most=1))
+def test_edit_distance_is_symmetric(batch):
+    assert distance_mismatches(*batch) == []
 
 
 def test_edit_distance_crosses_word_boundaries():
@@ -140,94 +154,38 @@ def test_edit_distance_crosses_word_boundaries():
     for n in (63, 64, 65, 130):
         a = ("a",) + tuple(rng.choice("ab") for _ in range(n - 2)) + ("a",)
         b = ("b",) + tuple(rng.choice("ab") for _ in range(n + 1)) + ("b",)
-        expected = matrix_edit_distance(a, b)
-        assert edit_distance(("x",) + a + ("y",), ("x",) + b + ("y",)) == expected
-        assert edit_distance(b, a) == expected
+        wrapped_a, wrapped_b = ("x",) + a + ("y",), ("x",) + b + ("y",)
+        assert distance_mismatches(wrapped_a, [wrapped_b]) == distance_mismatches(a, [b]) == []
+        assert matrix_edit_distance(wrapped_a, wrapped_b) == matrix_edit_distance(a, b)
 
 
-@st.composite
-def trimmed_pairs(draw):
-    """Two sequences over a 1-2 symbol alphabet that share a prefix and a
-    suffix around independent cores, either of which may be empty."""
-    alphabet = "ab"[: draw(st.integers(1, 2))]
-    tokens = st.lists(st.sampled_from(alphabet), max_size=70)
-    prefix, suffix = draw(tokens), draw(tokens)
-    core_a, core_b = draw(tokens), draw(tokens)
-    return tuple(prefix + core_a + suffix), tuple(prefix + core_b + suffix)
-
-
-@given(st.one_of(trimmed_pairs(), token_pairs(), edited_pairs()))
-def test_edit_distance_on_shared_ends_matches_oracle(pair):
-    a, b = pair
-    assert edit_distance(a, b) == edit_distance(b, a) == matrix_edit_distance(a, b)
+@given(batches(("ends", "random", "edited"), most=1))
+def test_edit_distance_on_shared_ends_matches_oracle(batch):
+    assert distance_mismatches(*batch) == []
 
 
 def test_edit_distance_edge_cases():
     for a, b in [((), ()), ((), ("a",)), (("a",), ()), (("a", "a"), ("a",)),
                  (("a", "b", "a"), ("a", "a")), (("b", "a", "b"), ("b", "b", "b"))]:
-        assert edit_distance(a, b) == matrix_edit_distance(a, b)
+        assert distance_mismatches(a, [b]) == []
     assert match_lanes(("a", "b", "a")) == {"a": b"\x05", "b": b"\x02"}
     assert match_lanes(tuple("a" * 8)) == {"a": b"\xff\x00"}  # a ninth bit guards the lane
 
 
-# --- the lane-packed batch ---------------------------------------------------
-
-BYTE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65)
-
-
-@st.composite
-def batches(draw):
-    """A target whose length is often at a lane's byte edge, and 0-12 candidates."""
-    alphabet = "abcd"[: draw(st.integers(1, 4))]
-    size = draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(0, 80)))
-    target = tuple(draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
-    candidates = st.lists(st.sampled_from(alphabet), max_size=80).map(tuple)
-    return target, draw(st.lists(candidates, max_size=12))
-
-
-@st.composite
-def near_copy_batches(draw):
-    """A target over 1-2 symbols, often of a byte-edge length, and 0-12
-    candidates that share its ends: 0-3-edit copies, splices of a prefix and
-    a suffix of it (nothing left between the shared ends), duplicates and
-    random tuples. Few symbols make the ends ambiguous: ("a",) * 5 and
-    ("a",) * 3 share a prefix of 3 and a suffix of 3, but only 3 in all."""
-    alphabet = "ab"[: draw(st.integers(1, 2))]
-    size = draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(0, 80)))
-    a = tuple(draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size)))
-    bs: list[tuple] = []
-    for kind in draw(st.lists(st.sampled_from(("edited", "splice", "duplicate", "random")), max_size=12)):
-        if kind == "edited":
-            bs.append(draw_edited(draw, a, alphabet, 3))
-        elif kind == "splice":
-            cut = draw(st.integers(0, size))
-            bs.append(a[:cut] + a[draw(st.integers(cut, size)) :])
-        elif kind == "duplicate" and bs:
-            bs.append(draw(st.sampled_from(bs)))
-        else:
-            bs.append(tuple(draw(st.lists(st.sampled_from(alphabet), max_size=80))))
-    return a, bs
-
-
-@given(st.one_of(batches(), near_copy_batches()))
+@given(batches())
 def test_edit_distances_match_matrix_oracle(batch):
-    a, bs = batch
-    assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
-    assert edit_distances(a, bs, match_lanes(a)) == edit_distances(a, bs)
+    assert distance_mismatches(*batch) == []
 
 
-@given(st.one_of(batches(), near_copy_batches()), st.data())
+@given(batches(), st.data())
 def test_edit_distances_lanes_are_independent(batch, data):
     # a candidate's distance is the same alone, duplicated, and at any position,
     # whether or not the batch around it lets its shared ends be skipped
     a, bs = batch
-    assert edit_distances(a, bs) == [edit_distance(a, b) for b in bs]
     b = data.draw(st.lists(st.sampled_from("abcd"), max_size=80).map(tuple))
-    alone = edit_distance(a, b)
-    assert edit_distances(a, [b, b, b]) == [alone] * 3
     position = data.draw(st.integers(0, len(bs)))
-    batch_with_b = bs[:position] + [b] + bs[position:]
-    assert edit_distances(a, batch_with_b)[position] == alone
+    for batch_with_b in (bs, [b, b, b], bs[:position] + [b] + bs[position:]):
+        assert distance_mismatches(a, batch_with_b) == []
 
 
 @pytest.mark.parametrize("size", BYTE_EDGES)
@@ -235,7 +193,7 @@ def test_edit_distances_at_byte_edges(size):
     rng = random.Random(size)
     a = tuple(rng.choice("ab") for _ in range(size))
     bs = [(), a, a[1:], a + ("a",), ("b",) * size, tuple(rng.choice("ab") for _ in range(2 * size + 3))]
-    assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
+    assert distance_mismatches(a, bs) == []
 
 
 def test_edit_distances_run_only_the_columns_between_shared_ends(monkeypatch):
@@ -246,32 +204,50 @@ def test_edit_distances_run_only_the_columns_between_shared_ends(monkeypatch):
             columns.append(column)
             yield column
 
+    def columns_run(a, bs) -> int:
+        columns.clear()
+        edit_distances(a, bs)
+        return len(columns)
+
     monkeypatch.setattr(fitness_mod, "zip_longest", counting_zip_longest)
     rng = random.Random(64)
     names = [f"-p{i}" for i in range(40)]
     a = tuple(rng.choice(names) for _ in range(64))
     # one central insert, replacement or delete each
     near = [a[:i] + new + a[i + cut :] for i in range(28, 37) for new, cut in ((("-x",), 0), (("-x",), 1), ((), 1))]
-    assert edit_distances(a, near) == [matrix_edit_distance(a, b) for b in near]
-    assert len(columns) <= 2  # the full table would take 65
+    assert distance_mismatches(a, near) == []
+    assert columns_run(a, near) <= 2  # the full table would take 65
     for _ in range(20):
-        columns.clear()
         bs = [tuple(rng.choice(names) for _ in range(rng.randint(0, 100))) for _ in range(rng.randint(1, 12))]
-        assert edit_distances(a, bs) == [matrix_edit_distance(a, b) for b in bs]
-        assert len(columns) <= max(map(len, bs))
+        assert distance_mismatches(a, bs) == []
+        assert columns_run(a, bs) <= max(map(len, bs))
 
 
 def test_edit_distances_empty_batch_and_empty_sequences():
-    assert edit_distances(("a", "b"), []) == []
-    assert edit_distances((), [(), ("a",), ("a", "b", "c")]) == [0, 1, 3]
-    assert edit_distances(("a", "b", "c"), [(), ()]) == [3, 3]
+    for a, bs, distances in ((("a", "b"), [], []), ((), [(), ("a",), ("a", "b", "c")], [0, 1, 3]),
+                             (("a", "b", "c"), [(), ()], [3, 3])):
+        assert distance_mismatches(a, bs) == [] and edit_distances(a, bs) == distances
 
 
 def test_edit_distance_examples():
-    assert edit_distance(("a", "b", "c"), ("a", "b", "c")) == 0
-    assert edit_distance(("a", "b"), ("a", "b", "c")) == 1
-    assert edit_distance((), ("a", "b", "c")) == 3
-    assert edit_distance(("a", "b", "c"), ("x", "b", "y")) == 2
+    # from ("a", "b", "c"), and by the swapped way to it
+    bs = [("a", "b", "c"), ("a", "b"), (), ("x", "b", "y")]
+    assert distance_mismatches(("a", "b", "c"), bs) == [] and edit_distances(("a", "b", "c"), bs) == [0, 1, 3, 2]
+
+
+def test_the_distance_checker_names_the_way_that_broke(monkeypatch):
+    a, bs = ("a", "b", "a", "b"), [("a", "b"), ("b", "b"), ("a", "b", "b", "a")]
+    real = fitness_mod.edit_distances
+    assert distance_mismatches(a, bs) == []
+
+    def bent(error):
+        """The real kernel, plus error(row side, lane) in each lane."""
+        return lambda x, ys, lanes=None: [d + error(x, k) for k, d in enumerate(real(x, ys, lanes))]
+
+    monkeypatch.setattr(fitness_mod, "edit_distances", bent(lambda x, k: k == 1))  # off by one in lane one
+    assert distance_mismatches(a, bs) == [(bs[1], "batch"), (bs[1], "lanes")]
+    monkeypatch.setattr(fitness_mod, "edit_distances", bent(lambda x, k: x != a))  # wrong only from a candidate
+    assert distance_mismatches(a, bs) == [(b, "swapped") for b in bs]
 
 
 # --- simulated landscape -----------------------------------------------------
@@ -345,10 +321,9 @@ def test_simulated_record_shape():
     assert record.sequence_digest == digest
     assert record.samples == (record.mean,) == (1.5,)
     assert record.fitness == record.mean
-    public = EvaluationRecord(
+    assert record == EvaluationRecord(
         sequence_digest=digest, runs=1, samples=(1.5,), mean=1.5, sample_stddev=0.0, status=EvaluationStatus.OK
     )
-    assert_trusted_is_public(record, public)
     # evaluate's exe dedupe copies a timed record under another digest this way
     copy = replace(record, sequence_digest="0" * 64)
     assert copy.sequence_digest == "0" * 64
@@ -551,9 +526,11 @@ def test_time_execution_interrupt_kills_the_process_group_and_propagates(tmp_pat
     assert _has_exited(_recorded_pid(pidfile))
 
 
-# A parent that forks a child into its own session; the child records its pid
-# and sleeps holding the output file, and the parent prints once it has.
-_ESCAPING_PARENT = """
+# A leader that forks a child into its own session; the child records its pid
+# and sleeps holding the output file. Once the child has left the process group
+# (one still in it would die in the group kill), the leader prints, then waits
+# 30 s if argv[2] is "wait", or else exits 0.
+_FORKING_LEADER = """
 import os, sys, time
 if os.fork() == 0:
     os.setsid()
@@ -563,58 +540,41 @@ if os.fork() == 0:
     os._exit(0)
 while not os.path.exists(sys.argv[1]):
     time.sleep(0.01)
-print("parent waiting", flush=True)
-time.sleep(30)
+waits = sys.argv[2] == "wait"
+print("parent waiting" if waits else "done", flush=True)
+time.sleep(30 if waits else 0)
 """
+
+
+@contextlib.contextmanager
+def _forking_leader(tmp_path, then: str, timeout: float):
+    """time_execution of _FORKING_LEADER, its wall seconds, and its child's pid; the child is killed on exit."""
+    start = time.perf_counter()
+    result = time_execution([sys.executable, "-c", _FORKING_LEADER, str(tmp_path / "pid"), then], timeout)
+    elapsed = time.perf_counter() - start
+    child = _recorded_pid(tmp_path / "pid")
+    try:
+        yield result, elapsed, child
+    finally:
+        os.kill(child, signal.SIGKILL)
 
 
 @needs_proc
 def test_time_execution_timeout_leaves_an_escaped_descendant_running(tmp_path):
-    pidfile = tmp_path / "pid"
-    start = time.perf_counter()
-    result = time_execution([sys.executable, "-c", _ESCAPING_PARENT, str(pidfile)], timeout=2.0)
-    elapsed = time.perf_counter() - start
-    escaped = _recorded_pid(pidfile)
-    try:
+    with _forking_leader(tmp_path, "wait", timeout=2.0) as (result, elapsed, escaped):
         assert (result.timed_out, result.returncode) == (True, None)
         assert "parent waiting" in result.output
         # the escaped child holds the output for 8 s; waiting for it would take that long
         assert elapsed < 2.0 + 2.0
         assert not _has_exited(escaped, within=0.0)
-    finally:
-        os.kill(escaped, signal.SIGKILL)
-
-
-# A leader that prints, forks a child into its own session that records its
-# pid and sleeps holding the output file, and exits 0 as soon as the child has
-# left its process group (a child still in it would die in the group kill).
-_DAEMONIZING_LEADER = """
-import os, sys, time
-print("done", flush=True)
-if os.fork() == 0:
-    os.setsid()
-    with open(sys.argv[1], "w") as fh:
-        fh.write(f"{os.getpid()}\\n")
-    time.sleep(8)
-while not os.path.exists(sys.argv[1]):
-    time.sleep(0.01)
-os._exit(0)
-"""
 
 
 @needs_proc
 def test_time_execution_scores_a_daemonizing_leader_by_its_exit(tmp_path):
-    pidfile = tmp_path / "pid"
-    start = time.perf_counter()
-    result = time_execution([sys.executable, "-c", _DAEMONIZING_LEADER, str(pidfile)], timeout=4.0)
-    elapsed = time.perf_counter() - start
-    daemon = _recorded_pid(pidfile)
-    try:
+    with _forking_leader(tmp_path, "exit", timeout=4.0) as (result, elapsed, daemon):
         assert (result.timed_out, result.returncode, result.output) == (False, 0, "done\n")
         assert elapsed < 2.0
         assert not _has_exited(daemon, within=0.0)
-    finally:
-        os.kill(daemon, signal.SIGKILL)
 
 
 def test_time_execution_gives_the_process_no_stdin():
@@ -967,6 +927,16 @@ def test_front_end_and_optimizer_input_are_not_required(tmp_path):
     assert fitness_mod.BackendConfig(optimizer_command="opt {ir}").kind == "simulated"
 
 
+def test_the_seam_names_any_other_process_by_its_file_name(tmp_path, processes):
+    """A one-word front end is legal, and an executable need not be program.bin."""
+    cfg = fake_backend(tmp_path, compiler_front_command="true")
+    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
+    processes.replies["baseline.bin"] = RunResult(0.5, 0, False, "")
+    assert fitness_mod.time_execution([str(tmp_path / "baseline.bin")], 1.0).seconds == 0.5
+    # the fake optimizer finds no IR, since `true` writes none
+    assert (record.status, processes.stages) == (EvaluationStatus.COMPILE_ERROR, ["true", "opt", "baseline.bin"])
+
+
 @pytest.mark.parametrize("outcome", sorted(_OUTCOMES))
 def test_failed_link_is_never_stored(tmp_path, processes, outcome):
     """A link that fails, even after writing its output, is run again for the same IR."""
@@ -1090,7 +1060,6 @@ def test_cache_indexes_first_writer_per_executable_under_threads(tmp_path):
     # the indexed record is the one written first, in memory and after a reload
     assert cache.get_timed("exe") is cache.get(rows[0]["digest"])
     assert EvaluationCache(path).get_timed("exe").sequence_digest == rows[0]["digest"]
-
 
 
 def _cache_line(digest: str, mean: float) -> str:
@@ -1259,7 +1228,7 @@ def _llvm14_builds_link_once(tmp_path, processes, header: str) -> None:
     )
 
     def links_and_runs():
-        return sum(argv[0] == "sh" for _, argv in processes.calls), processes.stages.count("run")
+        return processes.stages.count("sh"), processes.stages.count("run")
 
     cache = EvaluationCache()
     first = evaluate(PassSequence(("-sroa",)), cfg, cache)
