@@ -17,8 +17,10 @@ live in GAConfig and none of the defaults is canonical.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -214,7 +216,8 @@ def evolve(
         fitnesses = fitness_fn([apply_individual(baseline, ind) for ind in population])
         if len(fitnesses) != len(population):
             raise ValueError(f"fitness_fn returned {len(fitnesses)} values for {len(population)} sequences")
-        mean_fitness = sum(fitnesses) / len(fitnesses)
+        # left to right, as sum() added floats before CPython 3.12, so every version writes the same bytes
+        mean_fitness = functools.reduce(operator.add, fitnesses, 0.0) / len(fitnesses)
         if math.isnan(mean_fitness):
             raise ValueError("fitness_fn returned NaN, or both +inf and -inf, in one batch")
         gen_best = min(range(len(population)), key=fitnesses.__getitem__)

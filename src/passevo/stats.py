@@ -101,17 +101,21 @@ def summarize(improvements: list[float]) -> SummaryStats:
     """One-sample, one-tailed t test of H0: mean improvement = 0 vs H1: > 0.
 
     One value, or values with no spread, give the mean alone; an empty list
-    raises ExecutionError.
+    raises ExecutionError, and finite values whose sum or spread is beyond a
+    float raise ValidationError.
     """
     n = len(improvements)
     if n == 0:
         raise ExecutionError("no improvement values to summarize")
-    sd = stdev(improvements) if n > 1 else 0.0
-    if sd == 0.0:
+    try:
+        sd = stdev(improvements) if n > 1 else 0.0
         # mean() is correctly rounded, so equal values give that value back;
         # fmean of three 3.7s is 3.7000000000000006
-        return SummaryStats(n, mean(improvements), None, None, None)
-    mean_improvement = fmean(improvements)
+        mean_improvement = mean(improvements) if sd == 0.0 else fmean(improvements)
+    except OverflowError as exc:
+        raise ValidationError(f"improvement values too large to summarize: {exc}") from exc
+    if sd == 0.0:
+        return SummaryStats(n, mean_improvement, None, None, None)
     t = mean_improvement / (sd / math.sqrt(n))
     return SummaryStats(
         n=n,

@@ -12,7 +12,7 @@ from passevo.catalog import PassCatalog, PassSequence, serialize_catalog, serial
 from passevo.cli import main
 from passevo.config import ExperimentConfig, write_config
 from passevo.evolution import GAConfig
-from passevo.fitness import BackendConfig, RunResult
+from passevo.fitness import BackendConfig, EvaluationCache, EvaluationRecord, RunResult
 
 TESTS = Path(__file__).resolve().parent
 # the package's modules, which the structural guards read
@@ -90,6 +90,25 @@ def experiment_config(tmp_path: Path, fake_toolchain: str | None = None, inputs:
 def fake_backend(tmp_path: Path, behavior: str = "ok", **fields) -> BackendConfig:
     """The backend of experiment_config(tmp_path, behavior, **fields), with a 30 s compile timeout by default."""
     return experiment_config(tmp_path, behavior, **{"compile_timeout": 30.0, **fields}).backend
+
+
+class Evaluator:
+    """The one way tests score a candidate on an external backend: fitness.evaluate
+    on one BackendConfig and one EvaluationCache, the cache fresh or persisted at
+    `cache_path` (a second Evaluator on that path reloads it). A candidate is given
+    by its pass names."""
+
+    def __init__(self, cfg: BackendConfig, cache_path: Path | None = None):
+        self.cfg = cfg
+        self.cache = EvaluationCache(cache_path)
+
+    def score(self, *names: str) -> EvaluationRecord:
+        return fitness_mod.evaluate(PassSequence(names), self.cfg, self.cache)
+
+    def build(self, build_dir: Path, *names: str) -> Path:
+        """fitness.build_executable of the candidate in `build_dir`, which it makes; the executable's path."""
+        build_dir.mkdir(parents=True, exist_ok=True)
+        return fitness_mod.build_executable(PassSequence(names), self.cfg, build_dir, self.cache)
 
 
 def config_file(tmp_path: Path, **kwargs) -> Path:

@@ -18,18 +18,11 @@ from passevo.catalog import load_catalog, search_space_order
 from passevo.cli import main
 from passevo.evolution import GAConfig
 from passevo.experiment import run_trials
-from passevo.fitness import (
-    PENALTY,
-    BackendConfig,
-    EvaluationCache,
-    EvaluationStatus,
-    evaluate,
-    time_execution,
-)
+from passevo.fitness import PENALTY, BackendConfig, EvaluationStatus, time_execution
 from passevo.patches import apply_individual, PatchType
 from passevo.stats import percent_improvement, summarize
 
-from conftest import config_file, experiment_config, fake_backend
+from conftest import Evaluator, config_file, experiment_config, fake_backend
 from test_patches import oracle_mismatches, patch_law_violations, random_corpus
 from test_stats import reported_trial_values, t_sf_oracle
 
@@ -190,7 +183,6 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
 
     from passevo.catalog import PassSequence
     from passevo.evolution import evolve
-    from passevo.fitness import build_executable
     from passevo.patches import Individual, Patch
 
     source = tmp_path / "subset_sum.c"
@@ -217,27 +209,24 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
 
     outputs = []
     for seq in (baseline_seq, patched_seq):
-        record = evaluate(seq, cfg, EvaluationCache())
+        record = Evaluator(cfg).score(*seq.passes)
         assert record.status is EvaluationStatus.OK, record.diagnostics
         assert record.runs == 5 and len(record.samples) == 5
-        build_dir = tmp_path / f"keep-{len(outputs)}"
-        build_dir.mkdir()
-        exe = build_executable(seq, cfg, build_dir, EvaluationCache())
+        exe = Evaluator(cfg).build(tmp_path / f"keep-{len(outputs)}", *seq.passes)
         result = time_execution([str(exe)], timeout=30.0)
         assert result.returncode == 0
         outputs.append(result.output)
     assert outputs[0] == outputs[1]
 
-    bad = evaluate(PassSequence(("-definitely-not-a-pass-xyz",)), cfg, EvaluationCache())
+    bad = Evaluator(cfg).score("-definitely-not-a-pass-xyz")
     assert bad.status is EvaluationStatus.COMPILE_ERROR
     assert bad.fitness == PENALTY
 
     # the evolve loop must ride over invalid candidates without crashing
     poisoned_catalog = load_catalog("\n".join(smoke_passes + ("-definitely-not-a-pass-xyz",)))
-    cache = EvaluationCache()
-    small = replace(cfg, runs_per_eval=1)
+    small = Evaluator(replace(cfg, runs_per_eval=1))
     ga = GAConfig(population_size=3, generations=1, elitism_count=1, rng_seed=8)
-    evolve(ga, baseline_seq, poisoned_catalog, lambda seqs: [evaluate(s, small, cache).fitness for s in seqs])
+    evolve(ga, baseline_seq, poisoned_catalog, lambda seqs: [small.score(*s.passes).fitness for s in seqs])
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
@@ -248,11 +237,9 @@ def test_criterion_9_timeout_handling(tmp_path):
     spin = time_execution([sys.executable, "-c", "while True: pass"], timeout=0.5)
     assert spin.timed_out
 
-    cfg = fake_backend(tmp_path, behavior="spin", run_timeout=0.5)
-    from passevo.catalog import PassSequence
-
+    evaluator = Evaluator(fake_backend(tmp_path, behavior="spin", run_timeout=0.5))
     start = time.perf_counter()
-    record = evaluate(PassSequence(("-p0",)), cfg, EvaluationCache())
+    record = evaluator.score("-p0")
     elapsed = time.perf_counter() - start
     assert record.status is EvaluationStatus.TIMEOUT
     assert record.fitness == PENALTY

@@ -169,12 +169,19 @@ def test_tournament_full_sampling_finds_global_best():
 
 
 def test_tournament_winner_not_worse_than_any_sample():
+    # distinct genomes on three fitness values: ties decide by the order of the draws
     rng = random.Random(17)
-    population = [Individual() for _ in range(10)]
-    fitnesses = [rng.random() for _ in range(10)]
+    population = [Individual((Patch(PatchType.DELETION, i / 10),)) for i in range(10)]
+    fitnesses = [float(rng.randrange(3)) for _ in range(10)]
     for _ in range(100):
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        sampled = [inline_below(twin, len(population)) for _ in range(3)]
         winner = tournament_select(population, fitnesses, 3, rng)
-        assert fitnesses[population.index(winner)] <= max(fitnesses)
+        # min keeps the first of equal keys: the first-drawn of the fittest sampled
+        assert winner is population[min(sampled, key=fitnesses.__getitem__)]
+        assert all(fitnesses[population.index(winner)] <= fitnesses[i] for i in sampled)
+        assert rng.getstate() == twin.getstate()
 
 
 # --- crossover ---------------------------------------------------------------
@@ -299,6 +306,15 @@ def test_evolve_history_shape_and_monotone_best():
     for earlier, later in zip(records, records[1:]):
         assert later.best_fitness <= earlier.best_fitness
         assert later.mean_fitness >= later.best_fitness
+
+
+def test_evolve_mean_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so left to right the batch adds to 0.0; the
+    # compensated sum() of CPython 3.12+ gives 1.0, and a mean of 1/3
+    catalog, baseline, _ = hidden_target_setup()
+    cfg = GAConfig(population_size=3, generations=1, rng_seed=1)
+    history = evolve(cfg, baseline, catalog, lambda seqs: [1e16, 1.0, -1e16])
+    assert history[0].mean_fitness == 0.0
 
 
 def test_evolve_fully_deterministic():

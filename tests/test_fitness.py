@@ -30,7 +30,6 @@ from passevo.fitness import (
     SimModel,
     edit_distance,
     edit_distances,
-    evaluate,
     expand_command,
     ir_digest,
     match_lanes,
@@ -41,7 +40,7 @@ from passevo.fitness import (
     time_execution,
 )
 
-from conftest import FAKE_TEMPLATES, assert_rejected, config_file, fake_backend, make_catalog
+from conftest import FAKE_TEMPLATES, Evaluator, assert_rejected, config_file, fake_backend, make_catalog
 
 
 # --- the distance kernel, checked by one function over (target, candidates) batches ---
@@ -595,9 +594,7 @@ def test_time_execution_gives_the_process_no_stdin():
 # --- external pipeline through the fake toolchain ----------------------------
 
 def test_evaluate_ok_record(tmp_path):
-    cfg = fake_backend(tmp_path, behavior="ok", runs_per_eval=3)
-    seq = PassSequence(("-sroa", "-gvn"))
-    record = evaluate(seq, cfg, EvaluationCache())
+    record = Evaluator(fake_backend(tmp_path, behavior="ok", runs_per_eval=3)).score("-sroa", "-gvn")
     assert record.status is EvaluationStatus.OK
     assert record.runs == 3
     assert len(record.samples) == 3
@@ -608,45 +605,30 @@ def test_evaluate_ok_record(tmp_path):
 
 def test_a_program_that_sleeps_scores_a_higher_mean(tmp_path):
     """Fitness points the right way: the fake toolchain's `sleep <s>` program is timed as slower."""
-    seq = PassSequence(("-sroa",))
-    slow = evaluate(seq, fake_backend(tmp_path / "slow", behavior="sleep 0.1"), EvaluationCache())
-    fast = evaluate(seq, fake_backend(tmp_path / "fast", behavior="ok"), EvaluationCache())
+    slow = Evaluator(fake_backend(tmp_path / "slow", behavior="sleep 0.1")).score("-sroa")
+    fast = Evaluator(fake_backend(tmp_path / "fast", behavior="ok")).score("-sroa")
     assert slow.status is fast.status is EvaluationStatus.OK
     assert slow.mean >= 0.1
     assert slow.mean > fast.mean
 
 
-def test_evaluate_compile_error_on_broken_pass(tmp_path):
-    cfg = fake_backend(tmp_path)
-    record = evaluate(PassSequence(("-sroa", "-broken")), cfg, EvaluationCache())
-    assert record.status is EvaluationStatus.COMPILE_ERROR
+# a timed-out run is scored in test_acceptance.py::test_criterion_9_timeout_handling
+@pytest.mark.parametrize("behavior, names, status, diagnostics", [
+    ("ok", ("-sroa", "-broken"), EvaluationStatus.COMPILE_ERROR, "unknown pass"),
+    ("exit1", ("-sroa",), EvaluationStatus.RUN_ERROR, "deliberate failure"),
+], ids=["broken-pass", "exit1"])
+def test_evaluate_failure_scores_the_penalty(tmp_path, behavior, names, status, diagnostics):
+    record = Evaluator(fake_backend(tmp_path, behavior=behavior)).score(*names)
+    assert record.status is status
     assert record.fitness == PENALTY
-    assert "unknown pass" in record.diagnostics
-
-
-def test_evaluate_run_error(tmp_path):
-    cfg = fake_backend(tmp_path, behavior="exit1")
-    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
-    assert record.status is EvaluationStatus.RUN_ERROR
-    assert record.fitness == PENALTY
-    assert "deliberate failure" in record.diagnostics
-
-
-def test_evaluate_timeout(tmp_path):
-    cfg = fake_backend(tmp_path, behavior="spin", run_timeout=0.5)
-    start = time.perf_counter()
-    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
-    assert record.status is EvaluationStatus.TIMEOUT
-    assert record.fitness == PENALTY
-    assert time.perf_counter() - start < 5.0
+    assert diagnostics in record.diagnostics
 
 
 def test_evaluate_fixed_samples_arithmetic(tmp_path, processes):
     # pin run-stage durations to {1, 2, 3} s: mean 2.0, sample stddev 1.0
     durations = iter([1.0, 2.0, 3.0])
     processes.replies["run"] = lambda argv, real: RunResult(next(durations), 0, False, "")
-    cfg = fake_backend(tmp_path, runs_per_eval=3)
-    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
+    record = Evaluator(fake_backend(tmp_path, runs_per_eval=3)).score("-sroa")
     assert record.status is EvaluationStatus.OK
     assert record.samples == (1.0, 2.0, 3.0)
     assert record.mean == pytest.approx(2.0, abs=1e-12)
@@ -654,45 +636,40 @@ def test_evaluate_fixed_samples_arithmetic(tmp_path, processes):
 
 
 def test_evaluate_cache_hit_skips_toolchain(tmp_path, processes):
-    cfg = fake_backend(tmp_path, runs_per_eval=2)
-    cache = EvaluationCache()
-    seq = PassSequence(("-sroa", "-gvn"))
-    first = evaluate(seq, cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=2))
+    first = evaluator.score("-sroa", "-gvn")
     after_first = len(processes.calls)
-    second = evaluate(seq, cfg, cache)
-    assert second is first
+    assert evaluator.score("-sroa", "-gvn") is first
     assert len(processes.calls) == after_first
 
 
 def test_identical_executable_is_timed_once(tmp_path, processes):
     # the fake optimizer drops -noop, so both sequences link the same bytes
-    cfg = fake_backend(tmp_path, runs_per_eval=3)
-    cache = EvaluationCache()
-    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=3))
+    first = evaluator.score("-sroa")
     assert processes.stages.count("run") == 3
-    second = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    second = evaluator.score("-sroa", "-noop")
     assert processes.stages.count("run") == 3
     assert second.sequence_digest == sequence_digest(PassSequence(("-sroa", "-noop")))
     assert second.sequence_digest != first.sequence_digest
     assert (second.samples, second.mean, second.sample_stddev, second.status) == (
         first.samples, first.mean, first.sample_stddev, first.status)
     assert len(second.samples) == 3
-    assert len(cache) == 2
-    assert cache.get(second.sequence_digest) is second
+    assert len(evaluator.cache) == 2
+    assert evaluator.cache.get(second.sequence_digest) is second
 
 
 def test_executable_index_persists_and_reloads(tmp_path, processes):
-    cfg = fake_backend(tmp_path, runs_per_eval=2)
     path = tmp_path / "eval_cache.jsonl"
-    cache = EvaluationCache(path)
-    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
-    evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=2), path)
+    first = evaluator.score("-sroa")
+    evaluator.score("-sroa", "-noop")
     rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
     assert len(rows) == 2
     assert rows[0]["exe"] == rows[1]["exe"]
     assert processes.stages.count("run") == 2
 
-    third = evaluate(PassSequence(("-noop", "-sroa", "-noop")), cfg, EvaluationCache(path))
+    third = Evaluator(evaluator.cfg, path).score("-noop", "-sroa", "-noop")
     assert processes.stages.count("run") == 2
     assert third.status is EvaluationStatus.OK
     assert third.mean == first.mean
@@ -702,10 +679,9 @@ def test_executable_index_persists_and_reloads(tmp_path, processes):
 
 def test_failed_build_row_has_the_timed_row_keys(tmp_path):
     path = tmp_path / "eval_cache.jsonl"
-    cache = EvaluationCache(path)
-    cfg = fake_backend(tmp_path, runs_per_eval=1)
-    assert evaluate(PassSequence(("-sroa",)), cfg, cache).status is EvaluationStatus.OK
-    assert evaluate(PassSequence(("-broken",)), cfg, cache).status is EvaluationStatus.COMPILE_ERROR
+    evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=1), path)
+    assert evaluator.score("-sroa").status is EvaluationStatus.OK
+    assert evaluator.score("-broken").status is EvaluationStatus.COMPILE_ERROR
     timed, failed = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
     assert failed.keys() == timed.keys()
     assert failed["exe"] is None and len(timed["exe"]) == 64
@@ -720,7 +696,7 @@ def test_fresh_linked_evaluation_hashes_each_artifact_once(tmp_path, monkeypatch
         return real.sha256(data)
 
     monkeypatch.setattr(fitness_mod, "hashlib", types.SimpleNamespace(sha256=sha256))
-    record = evaluate(PassSequence(("-sroa",)), fake_backend(tmp_path, runs_per_eval=1), EvaluationCache())
+    record = Evaluator(fake_backend(tmp_path, runs_per_eval=1)).score("-sroa")
     assert record.status is EvaluationStatus.OK
     # the sequence, the optimized IR and the executable, which put_linked interns unhashed
     assert len(hashed) == 3
@@ -742,19 +718,17 @@ def test_equal_executables_are_interned_as_one_object():
 
 
 def test_different_executable_is_timed(tmp_path, processes):
-    cfg = fake_backend(tmp_path, runs_per_eval=2)
-    cache = EvaluationCache()
-    evaluate(PassSequence(("-sroa",)), cfg, cache)
-    record = evaluate(PassSequence(("-sroa", "-gvn")), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=2))
+    evaluator.score("-sroa")
+    record = evaluator.score("-sroa", "-gvn")
     assert processes.stages.count("run") == 4
     assert len(record.samples) == 2
 
 
 def test_failed_runs_are_shared_by_identical_executables(tmp_path, processes):
-    cfg = fake_backend(tmp_path, behavior="exit1", runs_per_eval=2)
-    cache = EvaluationCache()
-    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
-    second = evaluate(PassSequence(("-noop", "-sroa")), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path, behavior="exit1", runs_per_eval=2))
+    first = evaluator.score("-sroa")
+    second = evaluator.score("-noop", "-sroa")
     assert processes.stages.count("run") == 1
     assert first.status is second.status is EvaluationStatus.RUN_ERROR
     assert second.diagnostics == first.diagnostics
@@ -762,29 +736,26 @@ def test_failed_runs_are_shared_by_identical_executables(tmp_path, processes):
 
 def test_tool_spawn_failure_is_not_cached(tmp_path):
     path = tmp_path / "eval_cache.jsonl"
-    seq = PassSequence(("-sroa",))
-    missing = fake_backend(tmp_path, compiler_front_command="/nonexistent/passevo-cc {source} {ir}")
-    cache = EvaluationCache(path)
-    record = evaluate(seq, missing, cache)
+    missing = Evaluator(fake_backend(tmp_path, compiler_front_command="/nonexistent/passevo-cc {source} {ir}"), path)
+    record = missing.score("-sroa")
     assert record.status is EvaluationStatus.COMPILE_ERROR
     assert "spawn failed" in record.diagnostics
-    assert len(cache) == 0
+    assert len(missing.cache) == 0
     assert not path.exists() or path.read_text("utf-8") == ""
 
     # once the tool is there, the same output directory evaluates it for real
-    record = evaluate(seq, fake_backend(tmp_path), EvaluationCache(path))
+    record = Evaluator(fake_backend(tmp_path), path).score("-sroa")
     assert record.status is EvaluationStatus.OK
     assert len(path.read_text("utf-8").splitlines()) == 1
 
 
 def test_program_spawn_failure_is_not_cached(tmp_path, processes):
     processes.replies["run"] = RunResult(0.0, None, False, "spawn failed: [Errno 8] Exec format error")
-    cfg = fake_backend(tmp_path)
-    cache = EvaluationCache()
-    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path))
+    record = evaluator.score("-sroa")
     assert record.status is EvaluationStatus.RUN_ERROR
     assert "spawn failed" in record.diagnostics
-    assert len(cache) == 0
+    assert len(evaluator.cache) == 0
 
     # no executable was indexed either: a byte-identical build is timed; its
     # IR was linked before, so it skips the linker and runs the restored file
@@ -796,11 +767,11 @@ def test_program_spawn_failure_is_not_cached(tmp_path, processes):
         return result
 
     processes.replies["run"] = startable
-    record = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    record = evaluator.score("-sroa", "-noop")
     assert record.status is EvaluationStatus.OK
-    assert len(record.samples) == cfg.runs_per_eval
+    assert len(record.samples) == evaluator.cfg.runs_per_eval
     assert processes.stages == ["front", "opt", "link", "run", "front", "opt", "run", "run"]
-    assert outputs == ["passes: -sroa\n"] * cfg.runs_per_eval
+    assert outputs == ["passes: -sroa\n"] * evaluator.cfg.runs_per_eval
 
 
 _STAGE_NAMES = {"front": "front-end", "opt": "optimizer", "link": "linker", "run": "run"}
@@ -816,9 +787,8 @@ _OUTCOMES = {
 def test_failure_triage_table(tmp_path, processes, stage, outcome):
     """Every stage x outcome: the exact status, diagnostics and caching."""
     processes.replies[stage] = _OUTCOMES[outcome]
-    cfg = fake_backend(tmp_path, runs_per_eval=3)
-    cache = EvaluationCache()
-    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=3))
+    record = evaluator.score("-sroa")
 
     name = _STAGE_NAMES[stage]
     expected = {
@@ -834,15 +804,15 @@ def test_failure_triage_table(tmp_path, processes, stage, outcome):
     }[outcome]
     assert (record.status, record.diagnostics) == expected
     assert (record.runs, record.samples, record.fitness) == (3, (), PENALTY)
-    assert len(cache) == (0 if outcome == "spawn" else 1)
+    assert len(evaluator.cache) == (0 if outcome == "spawn" else 1)
     assert processes.stages.count("run") == (1 if stage == "run" else 0)
 
     if stage == "run":
         # a byte-identical twin reuses the failed timing, unless nothing started
-        twin = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+        twin = evaluator.score("-sroa", "-noop")
         assert (twin.status, twin.diagnostics) == expected
         assert processes.stages.count("run") == (2 if outcome == "spawn" else 1)
-        assert len(cache) == (0 if outcome == "spawn" else 2)
+        assert len(evaluator.cache) == (0 if outcome == "spawn" else 2)
 
 
 # --- optimized-IR level: each distinct IR is linked once ---------------------
@@ -877,16 +847,15 @@ def test_ir_digest_ignores_only_the_leading_module_id():
 
 
 def test_identical_ir_is_linked_once(tmp_path, processes):
-    cfg = fake_backend(tmp_path, runs_per_eval=2)
-    cache = EvaluationCache()
-    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
-    second = evaluate(PassSequence(("-noop", "-sroa")), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=2))
+    first = evaluator.score("-sroa")
+    second = evaluator.score("-noop", "-sroa")
     assert processes.stages == ["front", "opt", "link", "run", "run", "front", "opt"]
     assert (second.status, second.mean) == (EvaluationStatus.OK, first.mean)
 
     # another IR links, and so does every build with a fresh cache
-    evaluate(PassSequence(("-sroa", "-gvn")), cfg, cache)
-    evaluate(PassSequence(("-noop", "-sroa")), cfg, EvaluationCache())
+    evaluator.score("-sroa", "-gvn")
+    Evaluator(evaluator.cfg).score("-noop", "-sroa")
     assert processes.stages.count("link") == 3
 
 
@@ -921,16 +890,14 @@ def test_front_end_and_optimizer_input_are_not_required(tmp_path):
     fixed = tmp_path / "fixed.ir"
     fixed.write_text("ok\n")
     optimizer = FAKE_TEMPLATES["optimizer_command"].replace("{ir}", str(fixed))
-    cfg = fake_backend(tmp_path, compiler_front_command="true", optimizer_command=optimizer)
-    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
+    record = Evaluator(fake_backend(tmp_path, compiler_front_command="true", optimizer_command=optimizer)).score("-sroa")
     assert record.status is EvaluationStatus.OK, record.diagnostics
     assert fitness_mod.BackendConfig(optimizer_command="opt {ir}").kind == "simulated"
 
 
 def test_the_seam_names_any_other_process_by_its_file_name(tmp_path, processes):
     """A one-word front end is legal, and an executable need not be program.bin."""
-    cfg = fake_backend(tmp_path, compiler_front_command="true")
-    record = evaluate(PassSequence(("-sroa",)), cfg, EvaluationCache())
+    record = Evaluator(fake_backend(tmp_path, compiler_front_command="true")).score("-sroa")
     processes.replies["baseline.bin"] = RunResult(0.5, 0, False, "")
     assert fitness_mod.time_execution([str(tmp_path / "baseline.bin")], 1.0).seconds == 0.5
     # the fake optimizer finds no IR, since `true` writes none
@@ -946,10 +913,9 @@ def test_failed_link_is_never_stored(tmp_path, processes, outcome):
         return _OUTCOMES[outcome]
 
     processes.replies["link"] = link_then_fail
-    cfg = fake_backend(tmp_path)
-    cache = EvaluationCache()
-    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
-    twin = evaluate(PassSequence(("-sroa", "-noop")), cfg, cache)
+    evaluator = Evaluator(fake_backend(tmp_path))
+    first = evaluator.score("-sroa")
+    twin = evaluator.score("-sroa", "-noop")
     assert processes.stages.count("link") == 2
     assert first.status is twin.status is (
         EvaluationStatus.TIMEOUT if outcome == "timeout" else EvaluationStatus.COMPILE_ERROR)
@@ -957,36 +923,33 @@ def test_failed_link_is_never_stored(tmp_path, processes, outcome):
     assert first.diagnostics.startswith("linker ")
 
 
-def test_optimizer_that_writes_no_ir_is_a_compile_error(tmp_path, processes):
-    cfg = fake_backend(tmp_path, optimizer_command=f"{sys.executable} -c pass {{output}} {{passes}}")
-    cache = EvaluationCache()
-    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
-    assert record.status is EvaluationStatus.COMPILE_ERROR
-    assert record.diagnostics == "optimizer exited 0 but wrote no program.opt.ir"
-    assert cache.get(record.sequence_digest) == record
-    assert len(processes.calls) == 2 and "link" not in processes.stages
+# stage: its template key, what it takes in place of the fake tool's, its output file, the stages before it
+_SILENT_STAGES = {
+    "optimizer": ("optimizer_command", "{output} {passes}", "program.opt.ir", ["front"]),
+    "linker": ("linker_command", "{ir} {output}", "program.bin", ["front", "opt"]),
+}
 
 
-def test_linker_that_writes_no_executable_is_a_compile_error(tmp_path):
-    cfg = fake_backend(tmp_path, linker_command=f"{sys.executable} -c pass {{ir}} {{output}}")
-    cache = EvaluationCache()
-    record = evaluate(PassSequence(("-sroa",)), cfg, cache)
+@pytest.mark.parametrize("stage", _SILENT_STAGES)
+def test_a_stage_that_writes_no_output_is_a_compile_error(tmp_path, processes, stage):
+    """A stage that exits 0 without writing its output ends the build there, and the failure is cached."""
+    key, args, output, before = _SILENT_STAGES[stage]
+    evaluator = Evaluator(fake_backend(tmp_path, **{key: f"{sys.executable} -c pass {args}"}))
+    record = evaluator.score("-sroa")
     assert record.status is EvaluationStatus.COMPILE_ERROR
-    assert record.diagnostics == "linker exited 0 but wrote no program.bin"
-    assert cache.get(record.sequence_digest) == record
+    assert record.diagnostics == f"{stage} exited 0 but wrote no {output}"
+    assert evaluator.cache.get(record.sequence_digest) == record
+    assert processes.stages == before + [os.path.basename(sys.executable)]
 
 
 def test_evaluate_rejects_simulated_config():
     with pytest.raises(ValueError, match=r"experiment\.build_scorers"):
-        evaluate(PassSequence(()), fitness_mod.BackendConfig(kind="simulated"), EvaluationCache())
+        Evaluator(fitness_mod.BackendConfig(kind="simulated")).score()
 
 
 def test_program_receives_passes_through_pipeline(tmp_path):
     # the fake linker embeds the optimizer's pass list in the program output
-    cfg = fake_backend(tmp_path, behavior="ok", runs_per_eval=1)
-    build_dir = tmp_path / "build"
-    build_dir.mkdir()
-    exe = fitness_mod.build_executable(PassSequence(("-sroa", "-gvn")), cfg, build_dir, EvaluationCache())
+    exe = Evaluator(fake_backend(tmp_path, behavior="ok", runs_per_eval=1)).build(tmp_path / "build", "-sroa", "-gvn")
     result = time_execution([str(exe)], timeout=10.0)
     assert result.returncode == 0
     assert "passes: -sroa -gvn" in result.output
@@ -1217,7 +1180,7 @@ def _llvm14_builds_link_once(tmp_path, processes, header: str) -> None:
         pytest.skip("needs opt, llc and gcc on PATH")
     source = tmp_path / "main.ll"
     source.write_text(header + "define i32 @main() {\n  ret i32 0\n}\n", "utf-8")
-    cfg = fitness_mod.BackendConfig(
+    evaluator = Evaluator(fitness_mod.BackendConfig(
         kind="external_compiler",
         source_path=str(source),
         compiler_front_command="cp {source} {ir}",
@@ -1225,23 +1188,22 @@ def _llvm14_builds_link_once(tmp_path, processes, header: str) -> None:
         linker_command="""sh -c 'llc -O2 "$0" -o "$1.s" && gcc -no-pie "$1.s" -o "$1"' {ir} {output}""",
         runs_per_eval=3,
         workdir=str(tmp_path / "build"),
-    )
+    ))
 
     def links_and_runs():
         return processes.stages.count("sh"), processes.stages.count("run")
 
-    cache = EvaluationCache()
-    first = evaluate(PassSequence(("-sroa",)), cfg, cache)
+    first = evaluator.score("-sroa")
     assert first.status is EvaluationStatus.OK, first.diagnostics
     assert links_and_runs() == (1, 3)
     # -verify changes no code; each build has its own directory, so the optimized
     # IR differs only in the path opt writes into '; ModuleID' (and source_filename)
-    second = evaluate(PassSequence(("-sroa", "-verify")), cfg, cache)
+    second = evaluator.score("-sroa", "-verify")
     assert second.status is EvaluationStatus.OK, second.diagnostics
     assert links_and_runs() == (1, 3)
     assert second.mean == first.mean
     # -instnamer names the entry block: other IR, byte-identical executable
-    third = evaluate(PassSequence(("-instnamer",)), cfg, cache)
+    third = evaluator.score("-instnamer")
     assert third.status is EvaluationStatus.OK, third.diagnostics
     assert links_and_runs() == (2, 3)
     assert third.mean == first.mean

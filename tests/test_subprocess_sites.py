@@ -9,7 +9,9 @@ that rule.
 
 The tests see those processes through one seam: only conftest's `processes`
 fixture replaces fitness.time_execution, so each stage's stand-in is
-stated once.
+stated once. They score a candidate through one seam too: only conftest's
+`Evaluator` calls fitness.evaluate or fitness.build_executable, so what an
+evaluation needs is set up in one place.
 """
 
 import ast
@@ -43,6 +45,12 @@ def _replacements(node: ast.AST) -> list[str]:
     return ["assignment" for target in targets if isinstance(target, ast.Attribute) and target.attr == "time_execution"]
 
 
+def _scorings(node: ast.AST) -> list[str]:
+    """A call of `evaluate` or `build_executable`, by its name or as an attribute."""
+    name = getattr(node.func, "attr", getattr(node.func, "id", None)) if isinstance(node, ast.Call) else None
+    return [name] if name in ("evaluate", "build_executable") else []
+
+
 def test_only_time_execution_starts_processes():
     sites = [site for path in SOURCES for site in find_sites(path, _starters)]
     assert [site for site in sites if site[:2] != ("fitness.py", "time_execution")] == []
@@ -72,20 +80,35 @@ def test_the_guard_sees_every_form_of_process_start(tmp_path):
     ]
 
 
+# a test module with each form of the two guarded uses below, and two lookalikes
+_SYNTHETIC_TEST = (
+    "import passevo.fitness as fitness_mod\n"
+    "def test(monkeypatch):\n"
+    "    monkeypatch.setattr(fitness_mod, 'time_execution', None)\n"
+    "    monkeypatch.setattr('passevo.fitness.time_execution', None)\n"
+    "    setattr(fitness_mod, 'time_execution', None)\n"
+    "    fitness_mod.time_execution = None\n"
+    "    monkeypatch.setattr(fitness_mod, 'hashlib', None)\n"
+    "    real = fitness_mod.time_execution\n"
+    "    fitness_mod.evaluate(seq, cfg, cache)\n"
+    "    build_executable(seq, cfg, build_dir, cache)\n"
+)
+
+
 def test_only_conftest_replaces_time_execution(tmp_path):
     module = tmp_path / "module.py"
-    module.write_text(
-        "import passevo.fitness as fitness_mod\n"
-        "def test(monkeypatch):\n"
-        "    monkeypatch.setattr(fitness_mod, 'time_execution', None)\n"
-        "    monkeypatch.setattr('passevo.fitness.time_execution', None)\n"
-        "    setattr(fitness_mod, 'time_execution', None)\n"
-        "    fitness_mod.time_execution = None\n"
-        "    monkeypatch.setattr(fitness_mod, 'hashlib', None)\n"
-        "    real = fitness_mod.time_execution\n",
-        "utf-8",
-    )
+    module.write_text(_SYNTHETIC_TEST, "utf-8")
     assert [(line, name) for _, _, line, name in find_sites(module, _replacements)] == [
         (3, "setattr"), (4, "setattr"), (5, "setattr"), (6, "assignment")]
     sites = [site for path in sorted(TESTS.glob("*.py")) for site in find_sites(path, _replacements)]
     assert [site[:2] for site in sites] == [("conftest.py", "processes")]
+
+
+def test_only_the_evaluator_scores_external_candidates(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(_SYNTHETIC_TEST, "utf-8")
+    assert [(line, name) for _, _, line, name in find_sites(module, _scorings)] == [
+        (9, "evaluate"), (10, "build_executable")]
+    sites = [site for path in sorted(TESTS.glob("*.py")) for site in find_sites(path, _scorings)]
+    assert [(file, scope, name) for file, scope, _, name in sites] == [
+        ("conftest.py", "Evaluator", "evaluate"), ("conftest.py", "Evaluator", "build_executable")]
