@@ -221,6 +221,8 @@ def evolve(
         if math.isnan(mean_fitness):
             raise ValueError("fitness_fn returned NaN, or both +inf and -inf, in one batch")
         gen_best = min(range(len(population)), key=fitnesses.__getitem__)
+        # that sum can round a few ulps outside the batch (twelve 1.2s give 1.1999999999999997)
+        mean_fitness = min(max(mean_fitness, fitnesses[gen_best]), max(fitnesses))
         record = GenerationRecord(
             generation=generation,
             best_fitness=fitnesses[gen_best],

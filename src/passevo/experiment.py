@@ -67,12 +67,13 @@ def build_scorers(
 ) -> tuple[FitnessFn, RecordsFn]:
     """Wire a backend config into two views of one state: sequences -> fitnesses, and sequences -> records.
 
-    The simulated memo keeps each sequence's fitness under its pass tuple, so
-    a repeat costs one lookup; the distinct sequences it lacks are scored in
-    one simulated_fitnesses call. Only records_fn digests a sequence and
-    builds its record; a run asks it for the baseline alone. The external
-    records_fn evaluates the sequences in order, persisting at `cache_path`,
-    and fitness_fn reads each record's fitness."""
+    The simulated memo keeps each sequence's fitness under its pass tuple and
+    is probed once per request, so a repeat costs one lookup; the distinct
+    misses are scored in one simulated_fitnesses call, in first-seen order.
+    Only records_fn digests a sequence and builds its record; a run asks it
+    for the baseline alone. The external records_fn evaluates the sequences
+    in order, persisting at `cache_path`, and fitness_fn reads each record's
+    fitness."""
     if backend.kind == KIND_SIMULATED:
         rng = random.Random(backend.sim_target_seed)
         target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
@@ -80,9 +81,13 @@ def build_scorers(
         memo: dict[tuple[str, ...], float] = {}
 
         def fitness_fn(seqs: list[PassSequence]) -> list[float]:
-            fresh = {seq.passes: seq for seq in seqs if seq.passes not in memo}
+            values = [memo.get(seq.passes) for seq in seqs]
+            missed = [i for i, value in enumerate(values) if value is None]
+            fresh = {seqs[i].passes: seqs[i] for i in missed}
             memo.update(zip(fresh, simulated_fitnesses(list(fresh.values()), model)))
-            return [memo[seq.passes] for seq in seqs]
+            for i in missed:
+                values[i] = memo[seqs[i].passes]
+            return values
 
         def records_fn(seqs: list[PassSequence]) -> list[EvaluationRecord]:
             return [simulated_record(sequence_digest(s), v) for s, v in zip(seqs, fitness_fn(seqs))]

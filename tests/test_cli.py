@@ -158,7 +158,7 @@ def test_history_csv_schema_and_rederived_monotonicity(tmp_path):
             fields = row.split(",")
             assert int(fields[0]) == generation
             best, mean = float(fields[1]), float(fields[2])
-            assert mean >= best - 16 * math.ulp(best)  # a mean of equal values may round a few ulps below them
+            assert mean >= best
             bests.append(best)
         # the elite carries each generation's best into the next
         assert all(b <= a for a, b in zip(bests, bests[1:]))
@@ -301,8 +301,6 @@ def test_all_trials_failed_exit_one(tmp_path, capsys):
 # --- stats -------------------------------------------------------------------
 
 def test_stats_eight_reported_values(tmp_path, capsys):
-    import math
-
     spread = 0.8768 * math.sqrt(7 / 8)
     values = [3.7 - spread] * 4 + [3.7 + spread] * 4
     data = tmp_path / "improvements.txt"

@@ -13,11 +13,16 @@ through their slot descriptors, and the memo that keeps each simulated
 candidate's fitness as a float, with no EvaluationRecord.
 The low-reuse sim-fresh configuration, far from its target and with few
 repeats, is pinned against the benchmark's committed reference, which this
-file only reads.
+file only reads. The demo's digests hold on every CPython from 3.10 to 3.13:
+the demo is also run under each other such interpreter that can be found.
 """
 
+import glob
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +42,46 @@ def test_simulated_demo_artifacts_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DIGESTS}
     assert actual == DIGESTS
+
+
+def _other_cpythons() -> dict[tuple[int, ...], str]:
+    """One interpreter per CPython version from 3.10 to 3.13, other than this one, that starts:
+    python3.10 to python3.13 on PATH, then pyenv's versions."""
+    found = {}
+    candidates = [f"python3.{minor}" for minor in range(10, 14)]
+    candidates += sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.1*/bin/python3")))
+    for exe in candidates:
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:3])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0:
+            name, *version = probe.stdout.split()
+            version = tuple(map(int, version))
+            if name == "cpython" and (3, 10) <= version < (3, 14):
+                found.setdefault(version, exe)
+    found.pop(tuple(sys.version_info[:3]), None)
+    return found
+
+
+def test_simulated_demo_is_byte_identical_under_every_other_cpython(tmp_path):
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10-3.13 found")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    mismatched = {}
+    for version, exe in interpreters.items():
+        out = tmp_path / "-".join(map(str, version))
+        argv = [exe, "-m", "passevo.cli", "evolve", "--config", str(ROOT / "configs" / "simulated.ini"),
+                "--output-dir", str(out)]
+        run = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=600)
+        assert run.returncode == 0, (exe, run.stderr)
+        actual = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DIGESTS}
+        mismatched[exe] = sorted(name for name in DIGESTS if actual[name] != DIGESTS[name])
+    assert mismatched == dict.fromkeys(interpreters.values(), [])
 
 
 def test_pinned_digests_agree_with_benchmark_reference():

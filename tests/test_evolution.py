@@ -317,6 +317,15 @@ def test_evolve_mean_adds_left_to_right():
     assert history[0].mean_fitness == 0.0
 
 
+@pytest.mark.parametrize("population", [12, 50])
+def test_evolve_mean_stays_inside_the_generation(population):
+    # twelve 1.2s add to a mean of 1.1999999999999997 left to right, and fifty to 1.200000000000001
+    catalog, baseline, _ = hidden_target_setup()
+    cfg = GAConfig(population_size=population, generations=2, rng_seed=1)
+    history = evolve(cfg, baseline, catalog, lambda seqs: [1.2] * len(seqs))
+    assert [(r.best_fitness, r.mean_fitness) for r in history] == [(1.2, 1.2)] * 2
+
+
 def test_evolve_fully_deterministic():
     catalog, baseline, model = hidden_target_setup()
     cfg = GAConfig(population_size=15, generations=8, rng_seed=77)

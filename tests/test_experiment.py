@@ -261,6 +261,14 @@ def test_simulated_records_fn_scores_each_fresh_sequence_once(tmp_path, monkeypa
     assert scored == [baseline, other]
     one = build_record_fn(backend, catalog, baseline)
     assert [one(s) for s in (other, baseline)] == records
+    # an unseen sequence asked for twice in one batch, the second time as a new object
+    unseen = make_sequence(catalog, [1])
+    assert unseen not in (baseline, other)
+    del scored[:]
+    third = fitness_fn([unseen, other, PassSequence(unseen.passes)])
+    assert scored == [unseen]
+    assert third == [third[0], first[1], third[0]]
+    assert third[0] == build_scorers(backend, catalog, baseline)[0]([unseen])[0]
 
 
 def test_simulated_run_digests_only_the_baseline(tmp_path, monkeypatch):
