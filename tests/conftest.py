@@ -20,9 +20,9 @@ SOURCES = sorted((TESTS.parent / "src" / "passevo").glob("*.py"))
 FAKE_TOOL = TESTS / "fake_toolchain.py"
 # the fake toolchain's three stage templates; a test that needs another derives it from these
 FAKE_TEMPLATES = {
-    "compiler_front_command": f"{sys.executable} {FAKE_TOOL} front {{source}} {{ir}}",
-    "optimizer_command": f"{sys.executable} {FAKE_TOOL} opt {{ir}} {{output}} {{passes}}",
-    "linker_command": f"{sys.executable} {FAKE_TOOL} link {{ir}} {{output}}",
+    "compiler_front_command": "cp {source} {ir}",
+    "optimizer_command": f"{sys.executable} -S {FAKE_TOOL} opt {{ir}} {{output}} {{passes}}",
+    "linker_command": f"{sys.executable} -S {FAKE_TOOL} link {{ir}} {{output}}",
 }
 
 
@@ -152,8 +152,9 @@ class Processes:
     """The one stand-in for fitness.time_execution: every process an evaluation starts.
 
     `calls` holds each one's (stage, argv). The stage is the fake toolchain's stage
-    word, argv[2] (front, opt or link); "run" for a timed run of the built program;
-    and for any other process the file name of argv[0], such as "true" or "opt".
+    word, argv[3] (opt or link); "run" for a timed run of the built program;
+    and for any other process the file name of argv[0], such as "cp" for the
+    fake toolchain's front end, "true" or "opt".
     `replies` maps a stage to what its calls return in place of the real call: a
     RunResult, or a callable given the argv and the real call (no arguments).
     """
@@ -168,8 +169,8 @@ class Processes:
         return [stage for stage, _ in self.calls]
 
     def __call__(self, argv: list[str], timeout: float) -> RunResult:
-        if argv[1:2] == [str(FAKE_TOOL)]:
-            stage = argv[2]
+        if argv[1:3] == ["-S", str(FAKE_TOOL)]:
+            stage = argv[3]
         elif argv[0].endswith("program.bin"):
             stage = "run"
         else:

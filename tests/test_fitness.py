@@ -609,6 +609,8 @@ def test_a_program_that_sleeps_scores_a_higher_mean(tmp_path):
     fast = Evaluator(fake_backend(tmp_path / "fast", behavior="ok")).score("-sroa")
     assert slow.status is fast.status is EvaluationStatus.OK
     assert slow.mean >= 0.1
+    # a stand-in program starts in about a millisecond, so a sleep directive times close to its sleep
+    assert slow.mean < 0.125
     assert slow.mean > fast.mean
 
 
@@ -770,11 +772,11 @@ def test_program_spawn_failure_is_not_cached(tmp_path, processes):
     record = evaluator.score("-sroa", "-noop")
     assert record.status is EvaluationStatus.OK
     assert len(record.samples) == evaluator.cfg.runs_per_eval
-    assert processes.stages == ["front", "opt", "link", "run", "front", "opt", "run", "run"]
+    assert processes.stages == ["cp", "opt", "link", "run", "cp", "opt", "run", "run"]
     assert outputs == ["passes: -sroa\n"] * evaluator.cfg.runs_per_eval
 
 
-_STAGE_NAMES = {"front": "front-end", "opt": "optimizer", "link": "linker", "run": "run"}
+_STAGE_NAMES = {"cp": "front-end", "opt": "optimizer", "link": "linker", "run": "run"}
 _OUTCOMES = {
     "timeout": RunResult(0.1, None, True, "slow"),
     "spawn": RunResult(0.0, None, False, "spawn failed: x"),
@@ -850,7 +852,7 @@ def test_identical_ir_is_linked_once(tmp_path, processes):
     evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=2))
     first = evaluator.score("-sroa")
     second = evaluator.score("-noop", "-sroa")
-    assert processes.stages == ["front", "opt", "link", "run", "run", "front", "opt"]
+    assert processes.stages == ["cp", "opt", "link", "run", "run", "cp", "opt"]
     assert (second.status, second.mean) == (EvaluationStatus.OK, first.mean)
 
     # another IR links, and so does every build with a fresh cache
@@ -925,8 +927,8 @@ def test_failed_link_is_never_stored(tmp_path, processes, outcome):
 
 # stage: its template key, what it takes in place of the fake tool's, its output file, the stages before it
 _SILENT_STAGES = {
-    "optimizer": ("optimizer_command", "{output} {passes}", "program.opt.ir", ["front"]),
-    "linker": ("linker_command", "{ir} {output}", "program.bin", ["front", "opt"]),
+    "optimizer": ("optimizer_command", "{output} {passes}", "program.opt.ir", ["cp"]),
+    "linker": ("linker_command", "{ir} {output}", "program.bin", ["cp", "opt"]),
 }
 
 
@@ -949,10 +951,17 @@ def test_evaluate_rejects_simulated_config():
 
 def test_program_receives_passes_through_pipeline(tmp_path):
     # the fake linker embeds the optimizer's pass list in the program output
-    exe = Evaluator(fake_backend(tmp_path, behavior="ok", runs_per_eval=1)).build(tmp_path / "build", "-sroa", "-gvn")
+    evaluator = Evaluator(fake_backend(tmp_path, behavior="ok", runs_per_eval=1))
+    exe = evaluator.build(tmp_path / "build", "-sroa", "-gvn")
     result = time_execution([str(exe)], timeout=10.0)
     assert result.returncode == 0
     assert "passes: -sroa -gvn" in result.output
+
+    # a name the shell would expand, split or end is printed verbatim; sh's echo would rewrite its \n
+    name = "-a'b\"c$d`e\\nf;g"
+    exe = evaluator.build(tmp_path / "quoted", "-sroa", name)
+    result = time_execution([str(exe)], timeout=10.0)
+    assert (result.returncode, result.output) == (0, f"passes: -sroa {name}\n")
 
 
 # --- cache persistence -------------------------------------------------------
