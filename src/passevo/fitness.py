@@ -193,7 +193,7 @@ class EvaluationRecord:
 
     @property
     def fitness(self) -> float:
-        return self.mean if self.status is _OK else PENALTY
+        return self.mean if self.status is EvaluationStatus.OK else PENALTY
 
 
 def sequence_digest(seq: PassSequence) -> str:
@@ -250,7 +250,7 @@ class EvaluationCache:
                 wrong = [key for key, types in self._ROW_TYPES.items() if key in row and type(row[key]) not in types]
                 wrong += [key for key in ("mean", "stddev") if row[key] is not None and not math.isfinite(row[key])]
                 # an ok mean is a mean of wall times
-                if row["status"] == _OK.value and (row["mean"] is None or row["mean"] < 0):
+                if row["status"] == EvaluationStatus.OK.value and (row["mean"] is None or row["mean"] < 0):
                     wrong.append("mean")
                 if wrong:
                     raise ValueError(f"bad value for {', '.join(wrong)}")
@@ -445,12 +445,13 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> E
     """Compile with the candidate sequence and time it runs_per_eval times.
 
     Total for candidates: every failure of one comes back as a record, never
-    as an exception; a build directory that cannot be created is a
-    ValidationError. The cache short-circuits repeat evaluations by sequence
-    digest, repeat links of the same optimized IR, and repeat timings of a
-    byte-identical executable (the record is copied under this sequence's
-    digest). A record for a tool or program that could not be started is
-    returned but not cached.
+    as an exception; a build directory that cannot be created, or any other
+    OSError while building or timing (a full TMPDIR), is a ValidationError
+    with that error's text. The cache short-circuits repeat evaluations by
+    sequence digest, repeat links of the same optimized IR, and repeat
+    timings of a byte-identical executable (the record is copied under this
+    sequence's digest). A record for a tool or program that could not be
+    started is returned but not cached.
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError(
@@ -500,6 +501,8 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> E
         )
         if not fail.cacheable:
             return record
+    except OSError as exc:
+        raise ValidationError(f"cannot build or time a candidate: {exc}") from exc
     return cache.put(record, exe_digest)
 
 
@@ -588,13 +591,9 @@ def simulated_fitnesses(seqs: list[PassSequence], model: SimModel) -> list[float
     return [model.base_runtime * (1.0 + d / max(len(model.target), 1)) for d in distances]
 
 
-# Hot paths read OK as a global: a class-attribute enum lookup is slow on CPython 3.11 (3.12 made it cheaper).
-_OK = EvaluationStatus.OK
-
-
 def simulated_record(digest: str, value: float) -> EvaluationRecord:
     """The record of the sequence with this digest, which the simulated landscape scored `value`."""
-    return EvaluationRecord(digest, 1, (value,), value, 0.0, _OK)
+    return EvaluationRecord(digest, 1, (value,), value, 0.0, EvaluationStatus.OK)
 
 
 def perturb_sequence(

@@ -1,7 +1,10 @@
 import ast
+import configparser
 import dataclasses
 import functools
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 import passevo.fitness as fitness_mod
 from passevo.catalog import PassCatalog, PassSequence, serialize_catalog, serialize_sequence
 from passevo.cli import main
-from passevo.config import ExperimentConfig, write_config
+from passevo.config import ExperimentConfig, load_config, write_config
 from passevo.evolution import GAConfig
 from passevo.fitness import BackendConfig, EvaluationCache, EvaluationRecord, RunResult
 
@@ -59,6 +62,14 @@ def write_test_inputs(dir_path: Path, catalog_size: int = 16, baseline_len: int 
     return catalog_path, baseline_path, catalog, baseline
 
 
+def with_fields(cfg: ExperimentConfig, **fields) -> ExperimentConfig:
+    """cfg with any field of ExperimentConfig, GAConfig or BackendConfig set by name."""
+    ga, backend = ({f.name: fields.pop(f.name) for f in dataclasses.fields(part) if f.name in fields}
+                   for part in (cfg.ga, cfg.backend))
+    return dataclasses.replace(cfg, ga=dataclasses.replace(cfg.ga, **ga),
+                               backend=dataclasses.replace(cfg.backend, **backend), **fields)
+
+
 def experiment_config(tmp_path: Path, fake_toolchain: str | None = None, inputs: tuple[int, int] | None = None,
                       **fields) -> ExperimentConfig:
     """A valid config on a catalog and baseline written under tmp_path, with output_dir tmp_path/out.
@@ -78,13 +89,25 @@ def experiment_config(tmp_path: Path, fake_toolchain: str | None = None, inputs:
         source.write_text(fake_toolchain + "\n")
         values.update(trials=1, population_size=4, generations=2, rng_seed=1, kind="external_compiler",
                       source_path=str(source), **FAKE_TEMPLATES, runs_per_eval=2)
-    values.update(fields)
-    kwargs = {cls: {f.name: values.pop(f.name) for f in dataclasses.fields(cls) if f.name in values}
-              for cls in (GAConfig, BackendConfig, ExperimentConfig)}
-    if values:
-        raise TypeError(f"not a config field: {', '.join(values)}")
-    return ExperimentConfig(ga=GAConfig(**kwargs[GAConfig]), backend=BackendConfig(**kwargs[BackendConfig]),
-                            **kwargs[ExperimentConfig])
+    return with_fields(ExperimentConfig(), **{**values, **fields})
+
+
+@functools.cache
+def _has_llvm14() -> bool:
+    return all(map(shutil.which, ("opt", "llc", "gcc"))) and "LLVM version 14." in subprocess.run(
+        ["opt", "--version"], capture_output=True, text=True).stdout
+
+
+def llvm14_config(tmp_path: Path, **fields) -> ExperimentConfig:
+    """configs/llvm14.ini as load_config reads it, its input paths resolved against the repository root,
+    with output_dir and workdir under tmp_path and `fields` set by name; skips without LLVM 14 opt, llc and gcc."""
+    if not _has_llvm14():
+        pytest.skip("needs LLVM 14 opt, llc and gcc on PATH")
+    shipped = configparser.ConfigParser(interpolation=None)
+    shipped.read(path := TESTS.parent / "configs" / "llvm14.ini", "utf-8")
+    inputs = {(s, k): str(TESTS.parent / v) for s in shipped for k, v in shipped[s].items() if k.endswith("_path")}
+    return with_fields(load_config(path, inputs), **{"output_dir": str(tmp_path / "out"),
+                                                     "workdir": str(tmp_path / "build"), **fields})
 
 
 def fake_backend(tmp_path: Path, behavior: str = "ok", **fields) -> BackendConfig:
@@ -111,10 +134,10 @@ class Evaluator:
         return fitness_mod.build_executable(PassSequence(names), self.cfg, build_dir, self.cache)
 
 
-def config_file(tmp_path: Path, **kwargs) -> Path:
-    """experiment_config(tmp_path, **kwargs), written by config.write_config to tmp_path/experiment.ini."""
+def config_file(tmp_path: Path, build=experiment_config, **kwargs) -> Path:
+    """build(tmp_path, **kwargs), written by config.write_config to tmp_path/experiment.ini."""
     path = tmp_path / "experiment.ini"
-    write_config(experiment_config(tmp_path, **kwargs), path)
+    write_config(build(tmp_path, **kwargs), path)
     return path
 
 

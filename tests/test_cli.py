@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import passevo
 from passevo.cli import main
 from passevo.catalog import serialize_sequence
 
-from conftest import assert_rejected, config_file, write_test_inputs
+from conftest import assert_rejected, config_file, llvm14_config, write_test_inputs
 
 
 # --- evolve ------------------------------------------------------------------
@@ -248,6 +249,19 @@ def test_unusable_workdir_exit_two(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["evolve", "baseline"])
+def test_os_error_while_timing_exits_two_with_its_own_text(tmp_path, capsys, processes, command):
+    def full_tmpdir(argv, real):  # time_execution opening its output file in a full TMPDIR
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    processes.replies["run"] = full_tmpdir
+    config = config_file(tmp_path, fake_toolchain="ok")
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert os.strerror(errno.ENOSPC) in err and "output directory" not in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "baseline"])
 @pytest.mark.parametrize("key", ["compiler_front_command", "optimizer_command", "linker_command"])
 def test_unbalanced_quote_in_a_template_exits_two_before_any_output(tmp_path, capsys, key, command):
     config = config_file(tmp_path, fake_toolchain="ok")
@@ -390,24 +404,12 @@ def test_undecodable_input_exit_two(tmp_path, capsys, argv):
 
 # --- the shipped LLVM 14 experiment -----------------------------------------------
 
-def test_llvm14_config_runs_at_toy_size(tmp_path, capsys, monkeypatch):
-    import shutil
-
-    if not all(shutil.which(tool) for tool in ("opt", "llc", "gcc")):
-        pytest.skip("needs opt, llc and gcc on PATH")
-    if "LLVM version 14." not in subprocess.run(["opt", "--version"], capture_output=True, text=True).stdout:
-        pytest.skip("needs LLVM 14 opt")
-    repo = Path(__file__).resolve().parent.parent
-    text = (repo / "configs" / "llvm14.ini").read_text("utf-8")
-    for paper, toy in (("generations = 25", "generations = 2"), ("population_size = 30", "population_size = 6"),
-                       ("runs_per_eval = 10", "runs_per_eval = 2")):
-        assert text.count(paper) == 1, paper
-        text = text.replace(paper, toy)
-    config = tmp_path / "llvm14.ini"
-    config.write_text(text, "utf-8")
+def test_llvm14_config_runs_at_toy_size(tmp_path, capsys):
+    cfg = llvm14_config(tmp_path)  # at the paper's scale: trials, population, generations, runs per evaluation
+    assert (cfg.trials, cfg.ga.population_size, cfg.ga.generations, cfg.backend.runs_per_eval) == (8, 30, 25, 10)
+    config = config_file(tmp_path, build=llvm14_config, generations=2, population_size=6, runs_per_eval=2)
     out_dir = tmp_path / "out"
-    monkeypatch.chdir(repo)
-    assert main(["evolve", "--config", str(config), "--trials", "2", "--output-dir", str(out_dir)]) == 0
+    assert main(["evolve", "--config", str(config), "--trials", "2"]) == 0
     assert "completed trials: 2/2" in capsys.readouterr().out
     trials = json.loads((out_dir / "summary.json").read_text("utf-8"))["trials"]
     assert [(t["trial_index"], t["status"]) for t in trials] == [(0, "ok"), (1, "ok")]

@@ -40,7 +40,7 @@ from passevo.fitness import (
     time_execution,
 )
 
-from conftest import FAKE_TEMPLATES, Evaluator, assert_rejected, config_file, fake_backend, make_catalog
+from conftest import FAKE_TEMPLATES, Evaluator, assert_rejected, config_file, fake_backend, llvm14_config, make_catalog
 
 
 # --- the distance kernel, checked by one function over (target, candidates) batches ---
@@ -1183,21 +1183,9 @@ def test_llvm14_ir_without_source_filename_links_once(tmp_path, processes):
 
 
 def _llvm14_builds_link_once(tmp_path, processes, header: str) -> None:
-    import shutil
-
-    if not all(shutil.which(tool) for tool in ("opt", "llc", "gcc")):
-        pytest.skip("needs opt, llc and gcc on PATH")
     source = tmp_path / "main.ll"
     source.write_text(header + "define i32 @main() {\n  ret i32 0\n}\n", "utf-8")
-    evaluator = Evaluator(fitness_mod.BackendConfig(
-        kind="external_compiler",
-        source_path=str(source),
-        compiler_front_command="cp {source} {ir}",
-        optimizer_command="opt -S -enable-new-pm=0 {passes} {ir} -o {output}",
-        linker_command="""sh -c 'llc -O2 "$0" -o "$1.s" && gcc -no-pie "$1.s" -o "$1"' {ir} {output}""",
-        runs_per_eval=3,
-        workdir=str(tmp_path / "build"),
-    ))
+    evaluator = Evaluator(llvm14_config(tmp_path, source_path=str(source), runs_per_eval=3).backend)
 
     def links_and_runs():
         return processes.stages.count("sh"), processes.stages.count("run")
