@@ -17,6 +17,8 @@ import json
 import math
 import random
 import shutil
+import tempfile
+import weakref
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -62,6 +64,18 @@ RecordFn = Callable[[PassSequence], EvaluationRecord]
 RecordsFn = Callable[[list[PassSequence]], list[EvaluationRecord]]
 
 
+def build_directory(backend: BackendConfig, owner: object) -> Path:
+    """A new directory under [backend] workdir (by default the system temp directory), removed when `owner` is."""
+    try:
+        if backend.workdir:
+            Path(backend.workdir).mkdir(parents=True, exist_ok=True)
+        path = tempfile.mkdtemp(prefix="passevo-", dir=backend.workdir or None)
+    except OSError as exc:
+        raise ValidationError(f"cannot create a build directory (see [backend] workdir): {exc}") from exc
+    weakref.finalize(owner, shutil.rmtree, path, ignore_errors=True)
+    return Path(path)
+
+
 def build_scorers(
     backend: BackendConfig, catalog: PassCatalog, baseline: PassSequence, cache_path: Path | None = None
 ) -> tuple[FitnessFn, RecordsFn]:
@@ -72,8 +86,8 @@ def build_scorers(
     misses are scored in one simulated_fitnesses call, in first-seen order.
     Only records_fn digests a sequence and builds its record; a run asks it
     for the baseline alone. The external records_fn evaluates the sequences
-    in order, persisting at `cache_path`, and fitness_fn reads each record's
-    fitness."""
+    in order, persisting at `cache_path`, in one build_directory that lives
+    as long as the scorers; fitness_fn reads each record's fitness."""
     if backend.kind == KIND_SIMULATED:
         rng = random.Random(backend.sim_target_seed)
         target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
@@ -97,8 +111,9 @@ def build_scorers(
     cache = EvaluationCache(cache_path)
 
     def records_fn(seqs: list[PassSequence]) -> list[EvaluationRecord]:
-        return [evaluate(seq, backend, cache) for seq in seqs]
+        return [evaluate(seq, backend, cache, build_dir) for seq in seqs]
 
+    build_dir = build_directory(backend, records_fn)
     return (lambda seqs: [record.fitness for record in records_fn(seqs)]), records_fn
 
 

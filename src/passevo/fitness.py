@@ -21,13 +21,8 @@ executable is timed once: the cache is asked for a record timed from a
 byte-identical executable (same sha256); if it holds one, the candidate gets
 a copy of it under its own sequence digest and no run is repeated. Many pass
 sequences give the same IR, and more still the same binary: a pass that is a
-no-op at its position, or one a later pass undoes, changes nothing.
-
-The IR key leaves out what `opt -S` writes from the path of its input,
-because every build has its own directory: a leading "; ModuleID = '...'"
-line, and a source_filename line right after it that names the same path,
-which opt writes when the input IR names none. Any other source_filename
-(the one a front end writes) counts.
+no-op at its position, or one a later pass undoes, changes nothing. Every
+candidate of a run builds at one path, so the IR key is a plain hash.
 
 Every failure of a build stage or a timed run passes through one
 EvaluationFailure, which evaluate turns into the penalty record. A tool or
@@ -68,6 +63,7 @@ import random
 import re
 import select
 import shlex
+import shutil
 import signal
 import statistics
 import subprocess
@@ -100,8 +96,6 @@ _STAGES = {"compiler_front_command": (("source", "ir"), ()),
            "optimizer_command": (("ir", "output", "passes", "passes_csv"), (("passes", "passes_csv"), ("output",))),
            "linker_command": (("ir", "output"), (("ir",), ("output",)))}
 _PLACEHOLDER = re.compile(r"\{(source|ir|output|passes|passes_csv)\}")
-# '; ModuleID', then any source_filename that names the same path: what opt -S writes from its input path.
-_OPT_HEADER = re.compile(rb"; ModuleID = '(.*)'\n(?:source_filename = \"\1\"\n)?")
 
 
 class EvaluationStatus(enum.Enum):
@@ -404,19 +398,19 @@ def _check(result: RunResult, what: str, status: EvaluationStatus) -> float:
     return result.seconds
 
 
-def ir_digest(optimized_ir: bytes) -> str:
-    """Digest of an optimized IR file, leaving out the header opt writes from its input path (module docstring)."""
-    header = _OPT_HEADER.match(optimized_ir)
-    return hashlib.sha256(optimized_ir[header.end() if header else 0 :]).hexdigest()
-
-
 def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cache: EvaluationCache) -> Path:
-    """Run front-end, optimizer and linker; return the executable path.
+    """Empty `build_dir`, then run front-end, optimizer and linker in it; return the executable path.
 
-    An optimized IR that has been linked before, as `cache` knows, gets the
-    executable it linked to written back, and the linker does not run.
-    Raises EvaluationFailure for a failed stage or a missing output file.
+    No stage can read what an earlier build left there. An optimized IR that
+    has been linked before, as `cache` knows, gets the executable it linked
+    to written back, and the linker does not run. Raises EvaluationFailure
+    for a failed stage or a missing output file.
     """
+    for stale in build_dir.iterdir():
+        if stale.is_dir() and not stale.is_symlink():
+            shutil.rmtree(stale)
+        else:
+            stale.unlink()
     ir = build_dir / "program.ir"
     optimized = build_dir / "program.opt.ir"
     exe = build_dir / "program.bin"
@@ -430,7 +424,7 @@ def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cac
 
     run("front-end", cfg.compiler_front_command, {"source": cfg.source_path, "ir": str(ir)})
     run("optimizer", cfg.optimizer_command, {"ir": str(ir), "output": str(optimized)})
-    key = ir_digest(optimized.read_bytes())
+    key = hashlib.sha256(optimized.read_bytes()).hexdigest()
     linked = cache.get_linked(key)
     if linked is not None:
         exe.write_bytes(linked)
@@ -441,17 +435,16 @@ def build_executable(seq: PassSequence, cfg: BackendConfig, build_dir: Path, cac
     return exe
 
 
-def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> EvaluationRecord:
-    """Compile with the candidate sequence and time it runs_per_eval times.
+def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache, build_dir: Path) -> EvaluationRecord:
+    """Compile with the candidate sequence in `build_dir` and time it runs_per_eval times.
 
     Total for candidates: every failure of one comes back as a record, never
-    as an exception; a build directory that cannot be created, or any other
-    OSError while building or timing (a full TMPDIR), is a ValidationError
-    with that error's text. The cache short-circuits repeat evaluations by
-    sequence digest, repeat links of the same optimized IR, and repeat
-    timings of a byte-identical executable (the record is copied under this
-    sequence's digest). A record for a tool or program that could not be
-    started is returned but not cached.
+    as an exception; an OSError while building or timing (a full TMPDIR) is
+    a ValidationError with that error's text. The cache short-circuits
+    repeat evaluations by sequence digest, repeat links of the same optimized
+    IR, and repeat timings of a byte-identical executable (the record is
+    copied under this sequence's digest). A record for a tool or program
+    that could not be started is returned but not cached.
     """
     if cfg.kind != KIND_EXTERNAL:
         raise ValueError(
@@ -461,34 +454,27 @@ def evaluate(seq: PassSequence, cfg: BackendConfig, cache: EvaluationCache) -> E
     hit = cache.get(digest)
     if hit is not None:
         return hit
-    try:
-        if cfg.workdir:
-            Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
-        build_dir = tempfile.TemporaryDirectory(prefix="passevo-", dir=cfg.workdir or None)
-    except OSError as exc:
-        raise ValidationError(f"cannot create a build directory (see [backend] workdir): {exc}") from exc
     exe_digest = None
     try:
-        with build_dir as tmp:
-            exe = build_executable(seq, cfg, Path(tmp), cache)
-            exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
-            timed = cache.get_timed(exe_digest)
-            if timed is not None:
-                record = replace(timed, sequence_digest=digest)
-            else:
-                argv = [str(exe), *cfg.program_args]
-                samples = [
-                    _check(time_execution(argv, cfg.run_timeout), "run", EvaluationStatus.RUN_ERROR)
-                    for _ in range(cfg.runs_per_eval)
-                ]
-                record = EvaluationRecord(
-                    sequence_digest=digest,
-                    runs=cfg.runs_per_eval,
-                    samples=tuple(samples),
-                    mean=statistics.fmean(samples),
-                    sample_stddev=statistics.stdev(samples) if len(samples) > 1 else 0.0,
-                    status=EvaluationStatus.OK,
-                )
+        exe = build_executable(seq, cfg, build_dir, cache)
+        exe_digest = hashlib.sha256(exe.read_bytes()).hexdigest()
+        timed = cache.get_timed(exe_digest)
+        if timed is not None:
+            record = replace(timed, sequence_digest=digest)
+        else:
+            argv = [str(exe), *cfg.program_args]
+            samples = [
+                _check(time_execution(argv, cfg.run_timeout), "run", EvaluationStatus.RUN_ERROR)
+                for _ in range(cfg.runs_per_eval)
+            ]
+            record = EvaluationRecord(
+                sequence_digest=digest,
+                runs=cfg.runs_per_eval,
+                samples=tuple(samples),
+                mean=statistics.fmean(samples),
+                sample_stddev=statistics.stdev(samples) if len(samples) > 1 else 0.0,
+                status=EvaluationStatus.OK,
+            )
     except EvaluationFailure as fail:
         record = EvaluationRecord(
             sequence_digest=digest,

@@ -15,6 +15,7 @@ from passevo.catalog import PassCatalog, PassSequence, serialize_catalog, serial
 from passevo.cli import main
 from passevo.config import ExperimentConfig, load_config, write_config
 from passevo.evolution import GAConfig
+from passevo.experiment import build_directory
 from passevo.fitness import BackendConfig, EvaluationCache, EvaluationRecord, RunResult
 
 TESTS = Path(__file__).resolve().parent
@@ -98,16 +99,23 @@ def _has_llvm14() -> bool:
         ["opt", "--version"], capture_output=True, text=True).stdout
 
 
+def shipped_config(path: Path) -> ExperimentConfig:
+    """A config file of the repository as load_config reads it, its `*_path` inputs other than
+    the builtin: ones resolved against the repository root, so no test changes directory."""
+    shipped = configparser.ConfigParser(interpolation=None)
+    shipped.read(path, "utf-8")
+    inputs = {(s, k): str(TESTS.parent / v) for s in shipped for k, v in shipped[s].items()
+              if k.endswith("_path") and not v.startswith("builtin:")}
+    return load_config(path, inputs)
+
+
 def llvm14_config(tmp_path: Path, **fields) -> ExperimentConfig:
-    """configs/llvm14.ini as load_config reads it, its input paths resolved against the repository root,
-    with output_dir and workdir under tmp_path and `fields` set by name; skips without LLVM 14 opt, llc and gcc."""
+    """shipped_config of configs/llvm14.ini, with output_dir and workdir under tmp_path and `fields`
+    set by name; skips without LLVM 14 opt, llc and gcc."""
     if not _has_llvm14():
         pytest.skip("needs LLVM 14 opt, llc and gcc on PATH")
-    shipped = configparser.ConfigParser(interpolation=None)
-    shipped.read(path := TESTS.parent / "configs" / "llvm14.ini", "utf-8")
-    inputs = {(s, k): str(TESTS.parent / v) for s in shipped for k, v in shipped[s].items() if k.endswith("_path")}
-    return with_fields(load_config(path, inputs), **{"output_dir": str(tmp_path / "out"),
-                                                     "workdir": str(tmp_path / "build"), **fields})
+    return with_fields(shipped_config(TESTS.parent / "configs" / "llvm14.ini"),
+                       **{"output_dir": str(tmp_path / "out"), "workdir": str(tmp_path / "build"), **fields})
 
 
 def fake_backend(tmp_path: Path, behavior: str = "ok", **fields) -> BackendConfig:
@@ -117,21 +125,22 @@ def fake_backend(tmp_path: Path, behavior: str = "ok", **fields) -> BackendConfi
 
 class Evaluator:
     """The one way tests score a candidate on an external backend: fitness.evaluate
-    on one BackendConfig and one EvaluationCache, the cache fresh or persisted at
-    `cache_path` (a second Evaluator on that path reloads it). A candidate is given
-    by its pass names."""
+    on one BackendConfig, one EvaluationCache and one build directory, as a run's
+    scorers have them. The cache is fresh or persisted at `cache_path` (a second
+    Evaluator on that path reloads it); the directory is removed with the Evaluator.
+    A candidate is given by its pass names."""
 
     def __init__(self, cfg: BackendConfig, cache_path: Path | None = None):
         self.cfg = cfg
         self.cache = EvaluationCache(cache_path)
+        self.build_dir = build_directory(cfg, self)
 
     def score(self, *names: str) -> EvaluationRecord:
-        return fitness_mod.evaluate(PassSequence(names), self.cfg, self.cache)
+        return fitness_mod.evaluate(PassSequence(names), self.cfg, self.cache, self.build_dir)
 
-    def build(self, build_dir: Path, *names: str) -> Path:
-        """fitness.build_executable of the candidate in `build_dir`, which it makes; the executable's path."""
-        build_dir.mkdir(parents=True, exist_ok=True)
-        return fitness_mod.build_executable(PassSequence(names), self.cfg, build_dir, self.cache)
+    def build(self, *names: str) -> Path:
+        """fitness.build_executable of the candidate in the build directory; its path, until the next build."""
+        return fitness_mod.build_executable(PassSequence(names), self.cfg, self.build_dir, self.cache)
 
 
 def config_file(tmp_path: Path, build=experiment_config, **kwargs) -> Path:

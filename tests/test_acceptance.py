@@ -209,10 +209,11 @@ def test_criterion_8_external_toolchain_smoke(tmp_path):
 
     outputs = []
     for seq in (baseline_seq, patched_seq):
-        record = Evaluator(cfg).score(*seq.passes)
+        evaluator = Evaluator(cfg)
+        record = evaluator.score(*seq.passes)
         assert record.status is EvaluationStatus.OK, record.diagnostics
         assert record.runs == 5 and len(record.samples) == 5
-        exe = Evaluator(cfg).build(tmp_path / f"keep-{len(outputs)}", *seq.passes)
+        exe = evaluator.build(*seq.passes)
         result = time_execution([str(exe)], timeout=30.0)
         assert result.returncode == 0
         outputs.append(result.output)

@@ -9,7 +9,7 @@ from passevo.cli import main
 from passevo.config import load_config, parse_config_text, write_config
 from passevo.errors import ValidationError
 
-from conftest import assert_rejected, config_file, fake_backend, write_test_inputs
+from conftest import assert_rejected, config_file, fake_backend, shipped_config, write_test_inputs
 
 
 MINIMAL = """\
@@ -263,9 +263,8 @@ SHIPPED = sorted(REPO.glob("configs/*.ini")) + sorted(REPO.glob("perfbench/*/*.i
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(REPO)))
-def test_shipped_config_loads_and_round_trips(path, tmp_path, monkeypatch):
-    monkeypatch.chdir(REPO)
-    cfg = load_config(path)
+def test_shipped_config_loads_and_round_trips(path, tmp_path):
+    cfg = shipped_config(path)
     echo = tmp_path / "echo.ini"
     write_config(cfg, echo)
     assert load_config(echo) == cfg

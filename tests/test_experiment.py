@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -203,9 +204,14 @@ def test_missing_catalog_file_is_config_error():
     assert "/nonexistent/catalog.txt" in str(err.value)
 
 
-def test_external_backend_uses_persistent_cache(tmp_path):
-    cfg = experiment_config(tmp_path, fake_toolchain="ok", rng_seed=9, runs_per_eval=1, compile_timeout=30.0)
+def test_external_backend_uses_persistent_cache(tmp_path, processes):
+    workdir = tmp_path / "build"
+    cfg = experiment_config(tmp_path, fake_toolchain="ok", rng_seed=9, runs_per_eval=1, compile_timeout=30.0,
+                            workdir=str(workdir))
     results, _ = run_trials(cfg)
+    # every candidate of the run built in one directory under workdir, which the run removed
+    [build_dir] = {Path(argv[4]).parent for stage, argv in processes.calls if stage == "opt"}
+    assert build_dir.parent == workdir and list(workdir.iterdir()) == []
     assert results[0].ok
     cache_file = tmp_path / "out" / "eval_cache.jsonl"
     assert cache_file.is_file()

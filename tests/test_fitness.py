@@ -13,6 +13,7 @@ import time
 import types
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ import passevo.fitness as fitness_mod
 from passevo.catalog import PassCatalog, PassSequence
 from passevo.cli import main
 from passevo.errors import ValidationError
+from passevo.experiment import resolve_catalog, resolve_sequence
 from passevo.fitness import (
     PENALTY,
     EvaluationCache,
@@ -31,7 +33,6 @@ from passevo.fitness import (
     edit_distance,
     edit_distances,
     expand_command,
-    ir_digest,
     match_lanes,
     perturb_sequence,
     sequence_digest,
@@ -725,6 +726,9 @@ def test_different_executable_is_timed(tmp_path, processes):
     record = evaluator.score("-sroa", "-gvn")
     assert processes.stages.count("run") == 4
     assert len(record.samples) == 2
+    # both built in the Evaluator's one directory, so the optimizer read the same {ir} path
+    ir = str(evaluator.build_dir / "program.ir")
+    assert [argv[4] for stage, argv in processes.calls if stage == "opt"] == [ir, ir]
 
 
 def test_failed_runs_are_shared_by_identical_executables(tmp_path, processes):
@@ -819,35 +823,6 @@ def test_failure_triage_table(tmp_path, processes, stage, outcome):
 
 # --- optimized-IR level: each distinct IR is linked once ---------------------
 
-def test_ir_digest_ignores_only_the_leading_module_id():
-    body = b'source_filename = "main.ll"\n\ndefine i32 @main() {\n  ret i32 0\n}\n'
-    key = ir_digest(b"; ModuleID = '/tmp/passevo-a/program.ir'\n" + body)
-    assert key == ir_digest(b"; ModuleID = '/tmp/passevo-b/program.ir'\n" + body)
-    assert key != ir_digest(b"; ModuleID = '/tmp/passevo-a/program.ir'\n" + body.replace(b"i32 0", b"i32 1"))
-    assert key != ir_digest(b"; ModuleID = '/tmp/passevo-a/program.ir'\n" + body + b"\n")
-    # only the first line is the one opt writes; later and other comments count
-    assert ir_digest(b"; ModuleID = 'a'\n; ModuleID = 'b'\n" + body) != ir_digest(
-        b"; ModuleID = 'a'\n; ModuleID = 'c'\n" + body)
-    assert ir_digest(b"\n; ModuleID = 'a'\n" + body) != ir_digest(b"\n; ModuleID = 'b'\n" + body)
-    assert ir_digest(b"; comment a\n" + body) != ir_digest(b"; comment b\n" + body)
-
-    # opt names its input path in source_filename too when the input IR names none; that line is left out
-    code = b"\ndefine i32 @main() {\n  ret i32 0\n}\n"
-
-    def opt_wrote(path: bytes, source_filename: bytes, gap: bytes = b"") -> bytes:
-        return b"; ModuleID = '" + path + b"'\n" + gap + b'source_filename = "' + source_filename + b'"\n' + code
-
-    assert ir_digest(opt_wrote(b"/tmp/passevo-a/program.ir", b"/tmp/passevo-a/program.ir")) == ir_digest(
-        opt_wrote(b"/tmp/passevo-b/program.ir", b"/tmp/passevo-b/program.ir")) == ir_digest(code)
-    # any other source_filename counts: the front end's, another path, one not right after the ModuleID line
-    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"main.c")) != ir_digest(opt_wrote(b"/tmp/a.ir", b"other.c"))
-    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"main.c")) != ir_digest(code)
-    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"/tmp/b.ir")) != ir_digest(opt_wrote(b"/tmp/a.ir", b"/tmp/c.ir"))
-    assert ir_digest(opt_wrote(b"/tmp/a.ir", b"/tmp/a.ir", b"\n")) != ir_digest(
-        opt_wrote(b"/tmp/b.ir", b"/tmp/b.ir", b"\n"))
-    assert ir_digest(b'source_filename = "/tmp/a.ir"\n' + code) != ir_digest(b'source_filename = "/tmp/b.ir"\n' + code)
-
-
 def test_identical_ir_is_linked_once(tmp_path, processes):
     evaluator = Evaluator(fake_backend(tmp_path, runs_per_eval=2))
     first = evaluator.score("-sroa")
@@ -925,23 +900,33 @@ def test_failed_link_is_never_stored(tmp_path, processes, outcome):
     assert first.diagnostics.startswith("linker ")
 
 
-# stage: its template key, what it takes in place of the fake tool's, its output file, the stages before it
+# stage: its template key, what it takes in place of the fake tool's, its output file, the stages before it,
+# and its fake-toolchain stage word
 _SILENT_STAGES = {
-    "optimizer": ("optimizer_command", "{output} {passes}", "program.opt.ir", ["cp"]),
-    "linker": ("linker_command", "{ir} {output}", "program.bin", ["cp", "opt"]),
+    "optimizer": ("optimizer_command", "{output} {passes}", "program.opt.ir", ["cp"], "opt"),
+    "linker": ("linker_command", "{ir} {output}", "program.bin", ["cp", "opt"], "link"),
 }
 
 
 @pytest.mark.parametrize("stage", _SILENT_STAGES)
 def test_a_stage_that_writes_no_output_is_a_compile_error(tmp_path, processes, stage):
-    """A stage that exits 0 without writing its output ends the build there, and the failure is cached."""
-    key, args, output, before = _SILENT_STAGES[stage]
+    """A stage that exits 0 without writing its output ends the build there, and the failure is cached,
+    also after a candidate that built: its outputs are gone from the build directory."""
+    key, args, output, before, word = _SILENT_STAGES[stage]
     evaluator = Evaluator(fake_backend(tmp_path, **{key: f"{sys.executable} -c pass {args}"}))
     record = evaluator.score("-sroa")
     assert record.status is EvaluationStatus.COMPILE_ERROR
     assert record.diagnostics == f"{stage} exited 0 but wrote no {output}"
     assert evaluator.cache.get(record.sequence_digest) == record
     assert processes.stages == before + [os.path.basename(sys.executable)]
+
+    evaluator = Evaluator(fake_backend(tmp_path))
+    assert evaluator.score("-sroa").status is EvaluationStatus.OK
+    processes.replies[word] = RunResult(0.0, 0, False, "")
+    record = evaluator.score("-gvn")  # another IR, so the linker runs
+    assert (record.status, record.diagnostics) == (EvaluationStatus.COMPILE_ERROR,
+                                                   f"{stage} exited 0 but wrote no {output}")
+    assert evaluator.cache.get(record.sequence_digest) == record
 
 
 def test_evaluate_rejects_simulated_config():
@@ -952,14 +937,14 @@ def test_evaluate_rejects_simulated_config():
 def test_program_receives_passes_through_pipeline(tmp_path):
     # the fake linker embeds the optimizer's pass list in the program output
     evaluator = Evaluator(fake_backend(tmp_path, behavior="ok", runs_per_eval=1))
-    exe = evaluator.build(tmp_path / "build", "-sroa", "-gvn")
+    exe = evaluator.build("-sroa", "-gvn")
     result = time_execution([str(exe)], timeout=10.0)
     assert result.returncode == 0
     assert "passes: -sroa -gvn" in result.output
 
     # a name the shell would expand, split or end is printed verbatim; sh's echo would rewrite its \n
     name = "-a'b\"c$d`e\\nf;g"
-    exe = evaluator.build(tmp_path / "quoted", "-sroa", name)
+    exe = evaluator.build("-sroa", name)
     result = time_execution([str(exe)], timeout=10.0)
     assert (result.returncode, result.output) == (0, f"passes: -sroa {name}\n")
 
@@ -1178,7 +1163,7 @@ def test_llvm14_identical_binaries_timed_once(tmp_path, processes):
 
 
 def test_llvm14_ir_without_source_filename_links_once(tmp_path, processes):
-    """opt then names each build's own input path in source_filename, which the IR key leaves out."""
+    """opt then names its input path in source_filename, which is the same for every build of a run."""
     _llvm14_builds_link_once(tmp_path, processes, "")
 
 
@@ -1193,8 +1178,7 @@ def _llvm14_builds_link_once(tmp_path, processes, header: str) -> None:
     first = evaluator.score("-sroa")
     assert first.status is EvaluationStatus.OK, first.diagnostics
     assert links_and_runs() == (1, 3)
-    # -verify changes no code; each build has its own directory, so the optimized
-    # IR differs only in the path opt writes into '; ModuleID' (and source_filename)
+    # -verify changes no code, and every build reads its IR from the same path
     second = evaluator.score("-sroa", "-verify")
     assert second.status is EvaluationStatus.OK, second.diagnostics
     assert links_and_runs() == (1, 3)
@@ -1204,3 +1188,18 @@ def _llvm14_builds_link_once(tmp_path, processes, header: str) -> None:
     assert third.status is EvaluationStatus.OK, third.diagnostics
     assert links_and_runs() == (2, 3)
     assert third.mean == first.mean
+
+
+def test_llvm14_functions_start_at_a_multiple_of_64(tmp_path):
+    """The shipped linker aligns every function, so deleting -inline (which moved backtrack
+    by 32 bytes without alignment) leaves each function of subset_sum.ll on a 64-byte start."""
+    cfg = llvm14_config(tmp_path)
+    defined = set(re.findall(r"(?m)^define .*?@(\w+)\(", Path(cfg.backend.source_path).read_text("utf-8")))
+    baseline = resolve_sequence(cfg.baseline_path, resolve_catalog(cfg.catalog_path)).passes
+    evaluator = Evaluator(cfg.backend)
+    for passes in (baseline, [name for name in baseline if name != "-inline"]):
+        symbols = time_execution(["nm", "--defined-only", str(evaluator.build(*passes))], 30.0).output.split("\n")
+        starts = {name: int(address, 16)
+                  for address, _, name in map(str.split, filter(None, symbols)) if name in defined}
+        assert {"backtrack", "main"} <= starts.keys()
+        assert {name: start % 64 for name, start in starts.items()} == dict.fromkeys(starts, 0)
