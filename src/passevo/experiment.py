@@ -21,6 +21,7 @@ import tempfile
 import weakref
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -81,9 +82,11 @@ def build_scorers(
 ) -> tuple[FitnessFn, RecordsFn]:
     """Wire a backend config into two views of one state: sequences -> fitnesses, and sequences -> records.
 
-    The simulated memo keeps each sequence's fitness under its pass tuple and
-    is probed once per request, so a repeat costs one lookup; the distinct
-    misses are scored in one simulated_fitnesses call, in first-seen order.
+    The simulated memo maps each pass tuple to a dense slot in a list of
+    fitnesses, and each request hashes its tuple once, in one setdefault,
+    fresh or repeated; the new slots are scored in one simulated_fitnesses
+    call, in first-seen order. A batch that raises there takes its new keys
+    back out, so no key outlives the batch without a fitness.
     Only records_fn digests a sequence and builds its record; a run asks it
     for the baseline alone. The external records_fn evaluates the sequences
     in order, persisting at `cache_path`, in one build_directory that lives
@@ -92,16 +95,21 @@ def build_scorers(
         rng = random.Random(backend.sim_target_seed)
         target = perturb_sequence(baseline, catalog, backend.sim_target_edits, rng)
         model = SimModel(target=target, base_runtime=backend.sim_base_runtime)
-        memo: dict[tuple[str, ...], float] = {}
+        memo: dict[tuple[str, ...], int] = {}  # pass tuple -> its slot in scores
+        scores: list[float] = []
 
         def fitness_fn(seqs: list[PassSequence]) -> list[float]:
-            values = [memo.get(seq.passes) for seq in seqs]
-            missed = [i for i, value in enumerate(values) if value is None]
-            fresh = {seqs[i].passes: seqs[i] for i in missed}
-            memo.update(zip(fresh, simulated_fitnesses(list(fresh.values()), model)))
-            for i in missed:
-                values[i] = memo[seqs[i].passes]
-            return values
+            n = len(scores)
+            try:
+                slots = [memo.setdefault(seq.passes, len(memo)) for seq in seqs]
+                fresh = {slot: seq for slot, seq in zip(slots, seqs) if slot >= n}
+                scores.extend(simulated_fitnesses(list(fresh.values()), model))
+            except BaseException:
+                # the batch's new keys are the last ones in; none may outlive it without a score
+                for key in list(islice(reversed(memo), len(memo) - n)):
+                    del memo[key]
+                raise
+            return [scores[slot] for slot in slots]
 
         def records_fn(seqs: list[PassSequence]) -> list[EvaluationRecord]:
             return [simulated_record(sequence_digest(s), v) for s, v in zip(seqs, fitness_fn(seqs))]

@@ -9,8 +9,9 @@ Random._randbelow runs (test_evolution.py's
 test_direct_draws_match_the_public_random_methods guards it), the
 module-level enum constants, the heapq.nsmallest elites, the slotted
 value types (Patch, Individual, PassSequence), which the inner loops fill
-through their slot descriptors, and the memo that keeps each simulated
-candidate's fitness as a float, with no EvaluationRecord.
+through their slot descriptors, and the memo that maps each simulated
+candidate's passes to a dense slot of float fitnesses, with no
+EvaluationRecord.
 The low-reuse sim-fresh configuration, far from its target and with few
 repeats, is pinned against the benchmark's committed reference, which this
 file only reads. The demo's digests hold on every CPython from 3.10 to 3.13:

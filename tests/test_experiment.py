@@ -4,9 +4,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import passevo.experiment as experiment_mod
-from passevo.catalog import PassSequence
+from passevo.catalog import PassSequence, _trusted_sequence
 from passevo.errors import ExecutionError, ValidationError
 from passevo.evolution import GAConfig, GenerationRecord
 from passevo.experiment import (
@@ -267,14 +268,53 @@ def test_simulated_records_fn_scores_each_fresh_sequence_once(tmp_path, monkeypa
     assert scored == [baseline, other]
     one = build_record_fn(backend, catalog, baseline)
     assert [one(s) for s in (other, baseline)] == records
-    # an unseen sequence asked for twice in one batch, the second time as a new object
-    unseen = make_sequence(catalog, [1])
+    # an unseen sequence asked for twice in one batch, the second time as a new object;
+    # each request hashes its pass tuple once, fresh or repeated
+    class Hashed(tuple):
+        calls = 0
+
+        def __hash__(self):
+            Hashed.calls += 1
+            return super().__hash__()
+
+    unseen, other = (_trusted_sequence(Hashed(s.passes)) for s in (make_sequence(catalog, [1]), other))
     assert unseen not in (baseline, other)
     del scored[:]
     third = fitness_fn([unseen, other, PassSequence(unseen.passes)])
+    assert Hashed.calls == 3
     assert scored == [unseen]
     assert third == [third[0], first[1], third[0]]
     assert third[0] == build_scorers(backend, catalog, baseline)[0]([unseen])[0]
+
+
+def test_simulated_batch_interrupted_while_scoring_leaves_later_batches_exact(tmp_path, monkeypatch):
+    _, _, catalog, baseline = write_test_inputs(tmp_path)
+    backend = BackendConfig(kind="simulated", sim_target_edits=1)
+    fitness_fn, _ = build_scorers(backend, catalog, baseline)
+    cached, new, later = (make_sequence(catalog, indices) for indices in ([0, 1], [1], [2, 3, 4]))
+    fitness_fn([cached])
+    real = experiment_mod.simulated_fitnesses
+
+    def interrupted(seqs, model):
+        monkeypatch.setattr(experiment_mod, "simulated_fitnesses", real)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiment_mod, "simulated_fitnesses", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        fitness_fn([cached, new])
+    batch = [later, new, cached, baseline, new]
+    assert fitness_fn(batch) == build_scorers(backend, catalog, baseline)[0](batch)
+
+
+@given(st.lists(st.lists(st.sampled_from(((), (0,), (1,), (0, 1), (2, 1, 0))), max_size=8), max_size=6))
+def test_simulated_memo_answers_every_batch_as_a_new_scorer(batches):
+    catalog = make_catalog(4)
+    baseline = make_sequence(catalog, range(3))
+    backend = BackendConfig(kind="simulated", sim_target_edits=2)
+    fitness_fn, _ = build_scorers(backend, catalog, baseline)
+    for indices in batches:
+        batch = [make_sequence(catalog, i) for i in indices]
+        assert fitness_fn(batch) == build_scorers(backend, catalog, baseline)[0](batch)
 
 
 def test_simulated_run_digests_only_the_baseline(tmp_path, monkeypatch):
